@@ -17,15 +17,21 @@ Everything here manufactures or certifies equal-product identities:
 * :func:`verify_identity` is the equivalence decision with both signatures
   as witness.
 
-Enumerators use depth-first backtracking with interval pruning (the
-remaining sum must stay between the smallest and largest achievable
-completion at every level), so their output matches a brute-force filter
-while remaining usable up to index bounds around 50.  All listings come out
-in lexicographic order and are byte-reproducible.
+Enumerators walk the search tree with an explicit stack, so their depth is
+not limited by the interpreter's recursion limit.  At every level the
+remaining sum must stay between the smallest and largest completion of the
+slots still open (the interval bounds of restricted partitions, Andrews,
+*The Theory of Partitions*, ch. 3).  Both bounds are linear in the next
+candidate, so each level solves them for its first and last feasible
+candidate instead of testing candidates one by one; the last slot is then
+forced.  A walk therefore costs in proportion to the rows it returns times
+``t``, not to ``max_index``, and its output matches a brute-force filter.
+All listings come out in lexicographic order and are byte-reproducible.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,12 +139,6 @@ class Verdict:
         return self.verified
 
 
-def _consecutive_sum(lo: int, hi: int) -> int:
-    if hi < lo:
-        return 0
-    return (lo + hi) * (hi - lo + 1) // 2
-
-
 def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
     """All index multisets of size ``t`` with the requested subscript sum.
 
@@ -146,35 +146,50 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
     yields the empty list.  Every member converted to a product has
     signature exactly ``(t, subscript_sum)``.
     """
-    l = query.max_index
-    rep = query.repetition
+    if not query.feasible():
+        return []
+    t, l, rep = query.t, query.max_index, query.repetition
+    if t == 1:
+        return [(query.subscript_sum,)]
+
+    def candidates(min_value: int, slots: int, remaining: int) -> range:
+        # Values v for the first of ``slots`` slots that leave the other
+        # ``rest`` slots a completable remainder.  Their largest completion
+        # does not depend on v; their smallest grows with v.  Together the
+        # two bounds keep v <= l (v <= l - rest without repetition).
+        rest = slots - 1
+        if rep:
+            largest = rest * l
+            last = remaining // slots
+        else:
+            largest = rest * l - rest * (rest - 1) // 2
+            last = (remaining - rest * (rest + 1) // 2) // slots
+        return range(max(min_value, remaining - largest), last + 1)
+
     out: list[tuple[int, ...]] = []
+    # One value per filled slot, shared by the whole walk so that a deep
+    # query holds O(t) state; a prefix tuple per level would hold O(t^2).
+    acc: list[int] = []
+    stack: list[tuple[Iterator[int], int]] = []  # (candidates, remaining) per open slot
 
-    def extend(min_value: int, slots: int, remaining: int, acc: list[int]) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(min_value, l + 1):
-            rest = slots - 1
-            if rep:
-                lo = rest * v
-                hi = rest * l
-            else:
-                if v + rest > l:
-                    break
-                lo = _consecutive_sum(v + 1, v + rest)
-                hi = _consecutive_sum(l - rest + 1, l)
-            after = remaining - v
-            if after < lo:
-                break  # the floor only grows with v
-            if after > hi:
-                continue
-            acc.append(v)
-            extend(v if rep else v + 1, rest, after, acc)
-            acc.pop()
+    def open_slot(min_value: int, remaining: int) -> None:
+        values = candidates(min_value, t - len(acc), remaining)
+        if len(acc) == t - 2:  # the last slot takes what remains
+            prefix = tuple(acc)
+            out.extend([prefix + (v, remaining - v) for v in values])
+        else:
+            stack.append((iter(values), remaining))
 
-    extend(1, query.t, query.subscript_sum, [])
+    open_slot(1, query.subscript_sum)
+    while stack:
+        values, remaining = stack[-1]
+        v = next(values, None)
+        if v is None:
+            stack.pop()
+            continue
+        del acc[len(stack) - 1 :]
+        acc.append(v)
+        open_slot(v if rep else v + 1, remaining - v)
     return out
 
 
@@ -216,42 +231,62 @@ def decompose(
     if max_index < 1:
         raise ValueError(f"max index must be >= 1, got {max_index}")
 
+    if parts == 1:
+        b, r = divmod(subscript_sum, t)
+        return [Decomposition(((b, t),))] if r == 0 and b <= max_index else []
+    l = max_index
+
+    def choices(
+        min_index: int, rest: int, weight_left: int, sum_left: int
+    ) -> Iterator[tuple[int, int]]:
+        # Pairs (b, w) for the next base that leave the other ``rest`` bases
+        # a completable remainder.  Its smallest completion gives weight 1 to
+        # b+2 .. b+rest and the surplus cw - w to b+1; its largest gives
+        # weight 1 to l-rest+1 .. l-1 and the surplus to l:
+        #   sum_left - w*b >= (cw - w)*(b + 1) + sum(b+2 .. b+rest)
+        #   sum_left - w*b <= (cw - w)*l + sum(l-rest+1 .. l-1)
+        # Both are linear in w and give the weight range of each base; the
+        # base range is where w = cw - 1 passes the first and w = 1 the
+        # second.
+        cw = weight_left - rest + 1
+        k1 = rest * (rest + 1) // 2 - 1  # sum(b+2 .. b+rest) = (rest-1)*b + k1
+        low = cw + k1 - sum_left  # smallest weight at b: weight_left*b + low
+        slack = weight_left * l - rest * (rest - 1) // 2 - sum_left
+        last = min(l - rest, (sum_left - 1 - k1) // weight_left)
+        for b in range(max(min_index, l - slack), last + 1):
+            heaviest = min(cw - 1, slack // (l - b))
+            for w in range(max(1, weight_left * b + low), heaviest + 1):
+                yield b, w
+
     out: list[Decomposition] = []
+    acc: list[tuple[int, int]] = []  # one (b, w) per filled slot, O(parts) state
+    # (choices, weight left, sum left) per open slot
+    stack: list[tuple[Iterator[tuple[int, int]], int, int]] = []
 
-    def extend(
-        min_index: int,
-        slots: int,
-        weight_left: int,
-        sum_left: int,
-        acc: list[tuple[int, int]],
-    ) -> None:
-        if slots == 0:
-            if weight_left == 0 and sum_left == 0:
-                out.append(Decomposition(tuple(acc)))
-            return
-        for b in range(min_index, max_index - slots + 2):
-            for w in range(1, weight_left - (slots - 1) + 1):
-                after_w = weight_left - w
-                after_s = sum_left - w * b
-                rest = slots - 1
-                if rest == 0:
-                    if after_w == 0 and after_s == 0:
-                        out.append(Decomposition(tuple(acc) + ((b, w),)))
-                    continue
-                # tightest completions: surplus weight on the smallest
-                # remaining index, respectively the largest
-                lo = (after_w - rest + 1) * (b + 1) + _consecutive_sum(b + 2, b + rest)
-                hi = _consecutive_sum(max_index - rest + 1, max_index - 1) + (
-                    after_w - rest + 1
-                ) * max_index
-                if after_s < lo or after_s > hi:
-                    continue
-                acc.append((b, w))
-                extend(b + 1, rest, after_w, after_s, acc)
-                acc.pop()
+    def open_slot(min_index: int, weight_left: int, sum_left: int) -> None:
+        rest = parts - 1 - len(acc)
+        pairs = choices(min_index, rest, weight_left, sum_left)
+        if rest == 1:  # the last base and weight are forced
+            prefix = tuple(acc)
+            for b, w in pairs:
+                w_last = weight_left - w
+                b_last, r = divmod(sum_left - w * b, w_last)
+                if r == 0:
+                    out.append(Decomposition(prefix + ((b, w), (b_last, w_last))))
+        else:
+            stack.append((pairs, weight_left, sum_left))
 
-    extend(1, parts, t, subscript_sum, [])
-    out.sort(key=lambda d: d.parts)
+    open_slot(1, t, subscript_sum)
+    while stack:
+        pairs, weight_left, sum_left = stack[-1]
+        pair = next(pairs, None)
+        if pair is None:
+            stack.pop()
+            continue
+        del acc[len(stack) - 1 :]
+        acc.append(pair)
+        b, w = pair
+        open_slot(b + 1, weight_left - w, sum_left - w * b)
     return out
 
 

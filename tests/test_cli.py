@@ -100,6 +100,17 @@ class TestFamily:
         code, _, _ = run_cli(["family", "--t", "0", "--sum", "7", "--max-index", "6"])
         assert code == 2
 
+    def test_deep_repetition_json(self):
+        code, out, _ = run_cli(
+            [
+                "--format", "json",
+                "family", "--t", "1200", "--sum", "1200", "--max-index", "1200",
+                "--repetition",
+            ]
+        )
+        assert code == 0
+        assert json.loads(out) == [[1] * 1200]
+
 
 class TestDecompose:
     def test_text(self):
@@ -121,6 +132,19 @@ class TestDecompose:
             {"parts": [{"index": 2, "weight": 1}, {"index": 5, "weight": 2}]},
             {"parts": [{"index": 2, "weight": 2}, {"index": 8, "weight": 1}]},
             {"parts": [{"index": 3, "weight": 2}, {"index": 6, "weight": 1}]},
+        ]
+
+    def test_deep_json(self):
+        code, out, _ = run_cli(
+            [
+                "--format", "json",
+                "decompose", "--t", "1200", "--sum", "720600", "--parts", "1200",
+                "--max-index", "1200",
+            ]
+        )
+        assert code == 0
+        assert json.loads(out) == [
+            {"parts": [{"index": b, "weight": 1} for b in range(1, 1201)]}
         ]
 
 

@@ -83,6 +83,38 @@ class TestEnumerateFamily:
         assert all(sum(m) == 75 and len(set(m)) == 3 for m in got)
         assert got == sorted(got)
 
+    def test_counts_match_subset_sum_dp(self):
+        t, l = 6, 50
+        for rep in (False, True):
+            # ways[k][s]: k-multisets (k-subsets without repetition) of
+            # [1, l] with sum s, built one index at a time
+            ways = [[0] * (t * l + 2) for _ in range(t + 1)]
+            ways[0][0] = 1
+            for i in range(1, l + 1):
+                ks = range(1, t + 1) if rep else range(t, 0, -1)
+                for k in ks:
+                    for s in range(i, t * l + 2):
+                        ways[k][s] += ways[k - 1][s - i]
+            for s in (1, 21, 40, 97, 153, 260, 290, 296, 300, 301):
+                got = enumerate_family(FamilyQuery(t, s, l, rep))
+                assert len(got) == ways[t][s]
+                assert all(sum(m) == s for m in got)
+
+    def test_sparse_rows_at_large_index(self):
+        l = 10**6
+        assert enumerate_family(FamilyQuery(2, 2 * l - 1, l)) == [(l - 1, l)]
+        assert enumerate_family(FamilyQuery(3, 3 * l - 3, l)) == [(l - 2, l - 1, l)]
+        assert enumerate_family(FamilyQuery(3, 3 * l - 1, l, repetition=True)) == [
+            (l - 1, l, l)
+        ]
+        assert enumerate_family(FamilyQuery(2, 3, l)) == [(1, 2)]
+
+    def test_deep_repetition_family(self):
+        # one row, 1200 slots deep: past the interpreter's recursion limit
+        assert enumerate_family(FamilyQuery(1200, 1200, 1200, repetition=True)) == [
+            (1,) * 1200
+        ]
+
 
 class TestShiftIdentity:
     def test_shift_down(self):
@@ -163,16 +195,39 @@ class TestDecompose:
     def test_brute_force_cross_check(self):
         import itertools
 
-        def brute(t, s, n, l):
-            found = set()
+        def brute(t, n, l):
+            """Every form with n bases in [1, l] and total weight t, by sum."""
+            weightings = [
+                w for w in itertools.product(range(1, t + 1), repeat=n) if sum(w) == t
+            ]
+            found = {}
             for bases in itertools.combinations(range(1, l + 1), n):
-                for weights in itertools.product(range(1, t + 1), repeat=n):
-                    if sum(weights) == t and sum(b * w for b, w in zip(bases, weights)) == s:
-                        found.add(tuple(zip(bases, weights)))
-            return sorted(found)
+                for weights in weightings:
+                    s = sum(b * w for b, w in zip(bases, weights))
+                    found.setdefault(s, []).append(tuple(zip(bases, weights)))
+            return {s: sorted(rows) for s, rows in found.items()}
 
-        for t, s, n, l in [(3, 12, 2, 8), (4, 18, 3, 7), (5, 20, 2, 9), (2, 8, 1, 8)]:
-            assert [d.parts for d in decompose(t, s, n, l)] == brute(t, s, n, l)
+        for l in range(1, 10):
+            for t in range(1, 6):
+                for n in range(1, t + 1):
+                    expect = brute(t, n, l)
+                    for s in range(1, t * l + 2):
+                        got = [d.parts for d in decompose(t, s, n, l)]
+                        assert got == expect.get(s, []), (t, s, n, l)
+
+    def test_sparse_at_large_index(self):
+        l = 10**5
+        assert decompose(2, 2 * l - 1, 2, l) == [Decomposition(((l - 1, 1), (l, 1)))]
+        assert decompose(3, 3 * l - 1, 2, l) == [Decomposition(((l - 1, 1), (l, 2)))]
+        assert decompose(4, 4 * l - 6, 4, l) == [
+            Decomposition(((l - 3, 1), (l - 2, 1), (l - 1, 1), (l, 1)))
+        ]
+
+    def test_deep_all_distinct(self):
+        # 1200 bases of weight 1: past the interpreter's recursion limit
+        assert decompose(1200, 720600, 1200, 1200) == [
+            Decomposition(tuple((b, 1) for b in range(1, 1201)))
+        ]
 
     def test_json_shape(self):
         d = Decomposition(((2, 1), (5, 2)))
