@@ -7,6 +7,11 @@ combination ``q + p*pi`` with rational ``q`` and ``p``.  This is the exponent
 domain of the whole engine: equality of exponents is decidable componentwise
 because pi is irrational, so two exponents are equal as real numbers exactly
 when both components match.
+
+Coercion happens at the boundaries only: the public constructor turns ints
+and strings into Fractions (and rejects floats), while arithmetic between
+exponents, whose components are already Fractions, builds its results
+without coercing them again.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactExponent:
     """An exact exponent of the form ``rat + pi * π``.
 
@@ -45,26 +50,28 @@ class ExactExponent:
     pi: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", as_rational(self.rat))
-        object.__setattr__(self, "pi", as_rational(self.pi))
+        _set_rat(self, as_rational(self.rat))
+        _set_pi(self, as_rational(self.pi))
 
     def __add__(self, other: ExactExponent) -> ExactExponent:
         if not isinstance(other, ExactExponent):
             return NotImplemented
-        return ExactExponent(self.rat + other.rat, self.pi + other.pi)
+        pi = other.pi
+        return _of(self.rat + other.rat, self.pi + pi if pi else self.pi)
 
     def __sub__(self, other: ExactExponent) -> ExactExponent:
         if not isinstance(other, ExactExponent):
             return NotImplemented
-        return ExactExponent(self.rat - other.rat, self.pi - other.pi)
+        pi = other.pi
+        return _of(self.rat - other.rat, self.pi - pi if pi else self.pi)
 
     def __neg__(self) -> ExactExponent:
-        return ExactExponent(-self.rat, -self.pi)
+        return _of(-self.rat, -self.pi)
 
     def scale(self, c: RationalLike) -> ExactExponent:
         """Multiply both components by the rational ``c``."""
         c = as_rational(c)
-        return ExactExponent(self.rat * c, self.pi * c)
+        return _of(self.rat * c, self.pi * c)
 
     def __mul__(self, c: RationalLike) -> ExactExponent:
         if isinstance(c, (Fraction, int)):
@@ -74,11 +81,11 @@ class ExactExponent:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.pi == 0
+        return not self.rat and not self.pi
 
     def is_rational(self) -> bool:
         """True when the pi component vanishes."""
-        return self.pi == 0
+        return not self.pi
 
     def to_real(self) -> float:
         """Evaluate ``rat + pi*π`` in double precision."""
@@ -103,5 +110,23 @@ class ExactExponent:
         return cls(Fraction(data["rat"]), Fraction(data["pi"]))
 
 
+_new = object.__new__
+_set_rat = ExactExponent.__dict__["rat"].__set__
+_set_pi = ExactExponent.__dict__["pi"].__set__
+
+
+def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
+    """The package's constructor for components that are Fractions already.
+
+    Skips the public constructor's coercion; arithmetic on Fractions always
+    returns Fractions, so results built here keep the field types.
+    """
+    e = _new(ExactExponent)
+    _set_rat(e, rat)
+    _set_pi(e, pi)
+    return e
+
+
 ZERO = ExactExponent()
-ONE = ExactExponent(Fraction(1))
+ONE = ExactExponent(1)
+PI = ExactExponent(0, 1)

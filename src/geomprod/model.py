@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import ExactExponent, RationalLike, as_rational
+from .exact import ExactExponent, RationalLike, _of, as_rational
 
 __all__ = [
     "InvalidIndexError",
@@ -140,6 +140,7 @@ class StringProduct:
 
 
 EMPTY = StringProduct()
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,42 @@ def normalize(raw_factors: Iterable[tuple[int, ExponentLike]]) -> StringProduct:
 
 
 def signature(p: StringProduct) -> Signature:
-    """Exact signature of ``p``; (0, 0) for the empty product."""
-    total = ExactExponent()
-    weighted = ExactExponent()
+    """Exact signature of ``p``; (0, 0) for the empty product.
+
+    One pass over the factors sums integer numerators per denominator for
+    each of the four components (T and S, rational and pi parts); each
+    component becomes a single Fraction at the end.
+    """
+    t_rat: dict[int, int] = {}
+    s_rat: dict[int, int] = {}
+    t_pi: dict[int, int] = {}
+    s_pi: dict[int, int] = {}
     for f in p.factors:
-        total = total + f.exponent
-        weighted = weighted + f.exponent.scale(f.index)
-    return Signature(total, weighted)
+        e = f.exponent
+        q = e.rat
+        num = q.numerator
+        if num:
+            den = q.denominator
+            t_rat[den] = t_rat.get(den, 0) + num
+            s_rat[den] = s_rat.get(den, 0) + num * f.index
+        q = e.pi
+        num = q.numerator
+        if num:
+            den = q.denominator
+            t_pi[den] = t_pi.get(den, 0) + num
+            s_pi[den] = s_pi.get(den, 0) + num * f.index
+    return Signature(
+        _of(_sum_over_denominators(t_rat), _sum_over_denominators(t_pi)),
+        _of(_sum_over_denominators(s_rat), _sum_over_denominators(s_pi)),
+    )
+
+
+def _sum_over_denominators(numerators: dict[int, int]) -> Fraction:
+    """The exact sum of ``num / den`` over the ``{den: num}`` entries."""
+    if not numerators:
+        return _ZERO
+    den = math.lcm(*numerators)
+    return Fraction(sum(num * (den // d) for d, num in numerators.items()), den)
 
 
 def equivalent(p: StringProduct, q: StringProduct) -> bool:

@@ -5,7 +5,7 @@ an identity is computed as the literal product of its terms,
 ``prod((a1 * r**(index-1)) ** exponent)``, so a numeric pass is independent
 evidence and not a float restatement of the symbolic comparison.  Sampling
 is seeded and vectorized; identical configuration gives bitwise-identical
-reports.
+reports.  numpy is imported on the first numeric check, not with the package.
 
 :func:`brute_force_family` is the small-scale reference enumerator
 (materialize every combination, filter by sum) against which the pruned
@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .identities import Identity
 from .model import SequenceSpec, StringProduct, equivalent, evaluate, signature
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OracleConfig",
@@ -93,6 +95,8 @@ def product_of_terms(p: StringProduct, a1: float, r: float) -> float:
 
 
 def _product_values(p: StringProduct, a1: np.ndarray, r: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     values = np.ones_like(a1)
     for f in p.factors:
         values = values * (a1 * r ** (f.index - 1)) ** f.exponent.to_real()
@@ -109,6 +113,9 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     seed-ordered pass over the sample stream, so the report is reproducible
     bit for bit.
     """
+    # imported here so that the symbolic core and the CLI start without numpy
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     a1 = rng.uniform(cfg.a1_range[0], cfg.a1_range[1], cfg.trials)
     r = rng.uniform(cfg.r_range[0], cfg.r_range[1], cfg.trials)

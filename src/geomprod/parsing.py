@@ -22,19 +22,16 @@ with the offending position; an index below 1 raises
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exact import ExactExponent
+from .exact import ONE, PI, ExactExponent, _of
 from .identities import Identity
 from .model import InvalidIndexError, StringProduct, normalize
 
 __all__ = ["ParseError", "parse_product", "parse_identity", "render", "render_identity"]
-
-_OPS = set("*^()+-/=")
-_WS = set(" \t\r\n\v\f")
-_DIGITS = set("0123456789")
-_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,7 @@ class ParseError(ValueError):
         return f"parse error at position {self.position}: expected {self.expected}, found {self.found}"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "name", "op", "end"
     text: str
     pos: int
@@ -61,33 +57,30 @@ class _Token:
         return f"'{self.text}'"
 
 
+# Optional whitespace, then one token: each kind has its own group, in the
+# order of _KINDS, and the last group takes any other character as a bad
+# token.  The classes are ASCII on purpose: \s and \d would also accept
+# Unicode spaces and digits, which the grammar rejects.  Trailing whitespace
+# matches nothing and is skipped.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n\v\f]*(?:([0-9]+)|([A-Za-z]+)|([*^()+\-/=])|([^ \t\r\n\v\f]))"
+)
+_KINDS = (None, "int", "name", "op")
+_BAD = len(_KINDS)
+_new_token = tuple.__new__  # what _Token(...) calls, minus one Python frame
+
+_NEG_PI = -PI
+_ZERO = Fraction(0)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in _WS:
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-        elif c in _ALPHA:
-            j = i + 1
-            while j < n and text[j] in _ALPHA:
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-        elif c in _OPS:
-            tokens.append(_Token("op", c, i))
-            i += 1
-        else:
-            raise ParseError(i, "a token", f"{c!r}")
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == _BAD:
+            raise ParseError(m.start(group), "a token", repr(m.group(group)))
+        tokens.append(_new_token(_Token, (_KINDS[group], m.group(group), m.start(group))))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -97,12 +90,13 @@ class _Parser:
         self.at = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.at + ahead, len(self.tokens) - 1)]
+        # never past the end token: callers look ahead only from a non-end one
+        return self.tokens[self.at + ahead]
 
     def advance(self) -> _Token:
+        # only ever called on a token already checked, so never on the end one
         tok = self.tokens[self.at]
-        if tok.kind != "end":
-            self.at += 1
+        self.at += 1
         return tok
 
     def fail(self, expected: str) -> ParseError:
@@ -110,14 +104,13 @@ class _Parser:
         return ParseError(tok.pos, expected, tok.describe())
 
     def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
+        if not self.at_op(op):
             raise self.fail(f"'{op}'")
         return self.advance()
 
-    def at_op(self, op: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == "op" and tok.text == op
+    def at_op(self, op: str) -> bool:
+        # no other kind of token can have an operator character as its text
+        return self.tokens[self.at].text == op
 
     def integer(self, what: str) -> tuple[int, int]:
         tok = self.peek()
@@ -138,7 +131,7 @@ class _Parser:
             den, pos = self.integer("a denominator")
             if den == 0:
                 raise ParseError(pos, "a nonzero denominator", "'0'")
-        value = Fraction(num, den)
+        value = Fraction(num) if den == 1 else Fraction(num, den)
         return -value if negative else value
 
     def exp_atom(self) -> ExactExponent:
@@ -147,12 +140,12 @@ class _Parser:
             if tok.text != "pi":
                 raise self.fail("'pi' or a rational")
             self.advance()
-            return ExactExponent(0, 1)
+            return PI
         # tolerated shorthand: a bare sign directly before "pi"
         if self.at_op("-") and self.peek(1).kind == "name" and self.peek(1).text == "pi":
             self.advance()
             self.advance()
-            return ExactExponent(0, -1)
+            return _NEG_PI
         coeff = self.signed_rational()
         if self.at_op("*") and self.peek(1).kind == "name":
             name = self.peek(1)
@@ -160,11 +153,11 @@ class _Parser:
                 raise ParseError(name.pos, "'pi'", name.describe())
             self.advance()
             self.advance()
-            return ExactExponent(0, coeff)
+            return _of(_ZERO, coeff)
         if self.peek().kind == "name" and self.peek().text == "pi":
             self.advance()
-            return ExactExponent(0, coeff)
-        return ExactExponent(coeff, 0)
+            return _of(_ZERO, coeff)
+        return _of(coeff, _ZERO)
 
     def exp_expr(self) -> ExactExponent:
         value = self.exp_atom()
@@ -180,7 +173,7 @@ class _Parser:
             value = self.exp_expr()
             self.expect_op(")")
             return value
-        return ExactExponent(self.signed_rational(), 0)
+        return _of(self.signed_rational(), _ZERO)
 
     def term(self) -> list[tuple[int, ExactExponent]]:
         tok = self.peek()
@@ -198,7 +191,7 @@ class _Parser:
         if self.at_op("^"):
             self.advance()
             return [(index, self.exponent())]
-        return [(index, ExactExponent(1, 0))]
+        return [(index, ONE)]
 
     def product(self) -> list[tuple[int, ExactExponent]]:
         pairs = self.term()
@@ -230,9 +223,6 @@ def parse_identity(text: str) -> Identity:
     return Identity(normalize(lhs), normalize(rhs))
 
 
-_ONE = ExactExponent(1, 0)
-
-
 def _exponent_latex(e: ExactExponent) -> str:
     if e.pi == 0:
         return str(e.rat)
@@ -255,7 +245,7 @@ def render(p: StringProduct, style: str = "text") -> str:
             return "1"
         parts = []
         for f in p.factors:
-            if f.exponent == _ONE:
+            if f.exponent == ONE:
                 parts.append(f"a{f.index}")
             else:
                 parts.append(f"a{f.index}^({f.exponent})")
@@ -265,7 +255,7 @@ def render(p: StringProduct, style: str = "text") -> str:
             return "1"
         parts = []
         for f in p.factors:
-            if f.exponent == _ONE:
+            if f.exponent == ONE:
                 parts.append(f"a_{{{f.index}}}")
             else:
                 parts.append(f"a_{{{f.index}}}^{{{_exponent_latex(f.exponent)}}}")

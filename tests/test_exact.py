@@ -1,13 +1,14 @@
 """Exact rational and pi-extended exponent arithmetic."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomprod import ExactExponent, Rational, as_rational
+from geomprod import ExactExponent, Rational, as_rational, normalize, signature
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 exponents = st.builds(ExactExponent, rationals, rationals)
@@ -120,3 +121,46 @@ class TestExactExponent:
     def test_scale_distributes_over_to_real(self, a, c):
         scale = max(1.0, abs(a.to_real()) * max(1.0, abs(float(c))))
         assert abs(a.scale(c).to_real() - a.to_real() * float(c)) <= 1e-12 * scale
+
+
+class TestExactExponentContract:
+    """What callers rely on: coercion at the constructor, Fraction fields."""
+
+    def test_constructor_coerces_int_and_str(self):
+        e = ExactExponent(1, "1/2")
+        assert e == ExactExponent(Fraction(1), Fraction(1, 2))
+        assert type(e.rat) is Fraction and type(e.pi) is Fraction
+        assert ExactExponent("-3/6").rat == Fraction(-1, 2)
+
+    def test_constructor_rejects_float(self):
+        with pytest.raises(TypeError):
+            ExactExponent(1.5)
+        with pytest.raises(TypeError):
+            ExactExponent(0, 0.5)
+
+    def test_immutable(self):
+        e = ExactExponent(1, 2)
+        with pytest.raises(AttributeError):
+            e.rat = Fraction(3)
+
+    def test_pickle_round_trip(self):
+        e = ExactExponent(Fraction(3, 2), Fraction(-7, 3))
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e
+        assert hash(back) == hash(e)
+
+    @given(rationals, rationals)
+    def test_equal_values_hash_equal(self, q, p):
+        a = ExactExponent(q, p)
+        b = ExactExponent(str(q), str(p))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, a + ExactExponent()}) == 1
+
+    @given(exponents, exponents, rationals)
+    def test_results_have_fraction_fields(self, a, b, c):
+        results = [a + b, a - b, -a, a.scale(c), a.scale(int(c)), 2 * a, a * c]
+        sig = signature(normalize([(3, a), (5, b)]))
+        results += [sig.total, sig.weighted_sum]
+        for x in results:
+            assert type(x.rat) is Fraction
+            assert type(x.pi) is Fraction

@@ -39,6 +39,30 @@ raw_pairs = st.lists(
 )
 products = raw_pairs.map(normalize)
 
+# Wide products for the reference check: pi components, negative and
+# large-denominator exponents, indices up to 10^6, and the empty product.
+wide_rationals = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
+    st.integers(min_value=-(10**12), max_value=10**12).map(Fraction),
+)
+wide_products = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=10**6),
+        st.builds(ExactExponent, wide_rationals, wide_rationals),
+    ),
+    max_size=40,
+).map(normalize)
+
+
+def reference_signature(p: StringProduct) -> Signature:
+    """Per-factor ExactExponent accumulation, the direct reading of (T, S)."""
+    total = ExactExponent()
+    weighted = ExactExponent()
+    for f in p.factors:
+        total = total + f.exponent
+        weighted = weighted + f.exponent.scale(f.index)
+    return Signature(total, weighted)
+
 
 class TestNormalize:
     def test_merges_equal_indices(self):
@@ -102,6 +126,25 @@ class TestSignature:
     @given(products, products)
     def test_additive_under_product(self, p, q):
         assert signature(product(p, q)) == signature(p) + signature(q)
+
+    @settings(max_examples=300)
+    @given(wide_products)
+    def test_matches_reference_accumulation(self, p):
+        assert signature(p) == reference_signature(p)
+
+    def test_matches_reference_on_edge_products(self):
+        big_den = Fraction(-7, 999_999_937)
+        cases = [
+            normalize([]),
+            normalize([(1_000_000, ExactExponent(0, -3))]),
+            normalize([(2, big_den), (3, -big_den), (10**6, ExactExponent(big_den, big_den))]),
+            normalize([(5, 1), (7, -1)]),
+            normalize(
+                (b, ExactExponent(Fraction(1, b), Fraction(-1, b + 1))) for b in range(1, 60)
+            ),
+        ]
+        for p in cases:
+            assert signature(p) == reference_signature(p)
 
 
 class TestEquivalence:

@@ -1,6 +1,10 @@
 """Numeric oracle: sampling checks, reference enumeration, degenerate point."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,23 @@ class TestOracleConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             OracleConfig(trials=0)
+
+
+class TestLazyNumpy:
+    def test_package_and_cli_import_without_numpy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = (
+            "import sys, geomprod, geomprod.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "ident = geomprod.parse_identity('a4*a3 = a6*a1')\n"
+            "assert geomprod.verify_identity(ident).verified\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestNumericCheck:

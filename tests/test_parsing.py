@@ -118,6 +118,46 @@ class TestParseErrors:
                 parse_product(text)
             assert 0 <= info.value.position <= len(text)
 
+    # Every field is pinned: the tokenizer accepts ASCII only, so Unicode
+    # digits and spaces are "a token" errors at their own offset.
+    @pytest.mark.parametrize(
+        "text, parse, position, expected, found",
+        [
+            ("a4 # a3", parse_product, 3, "a token", "'#'"),
+            ("b3 # a3", parse_product, 3, "a token", "'#'"),
+            ("a\u0663", parse_product, 1, "a token", "'\u0663'"),
+            ("a3\u00a0*a4", parse_product, 2, "a token", "'\\xa0'"),
+            ("a3^(1/2) = a\u0664", parse_identity, 12, "a token", "'\u0664'"),
+            ("a3^(1/0)", parse_product, 6, "a nonzero denominator", "'0'"),
+            ("  a3 ^ ( 1 / 00 )", parse_product, 13, "a nonzero denominator", "'0'"),
+            ("b3", parse_product, 0, "a term like 'a3' (or the literal '1')", "'b'"),
+            ("a3^(2 pie)", parse_product, 6, "')'", "'pie'"),
+            ("a3^(2*pe)", parse_product, 6, "'pi'", "'pe'"),
+            ("a3^(2 * pe)", parse_product, 8, "'pi'", "'pe'"),
+            ("a3*", parse_product, 3, "a term like 'a3' (or the literal '1')", "end of input"),
+            ("a3 =", parse_product, 3, "end of input", "'='"),
+            ("a3 =", parse_identity, 4, "a term like 'a3' (or the literal '1')", "end of input"),
+            ("a3^(--1)", parse_product, 5, "an integer", "'-'"),
+        ],
+    )
+    def test_error_fields_pinned(self, text, parse, position, expected, found):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        err = info.value
+        assert (err.position, err.expected, err.found) == (position, expected, found)
+
+    def test_index_error_names_its_position(self):
+        with pytest.raises(InvalidIndexError, match=r"got 0 \(at position 6\)"):
+            parse_identity("a4 = a0*a4")
+        with pytest.raises(InvalidIndexError, match=r"got 0 \(at position 9\)"):
+            parse_product("a3 * \t a 00")
+
+    def test_vertical_tab_and_form_feed_are_whitespace(self):
+        assert parse_product("a3\v*\fa4") == normalize([(3, 1), (4, 1)])
+        assert parse_identity("a3\v*\fa4\t=\ra4\n*a3") == Identity(
+            normalize([(3, 1), (4, 1)]), normalize([(3, 1), (4, 1)])
+        )
+
 
 class TestRender:
     def test_canonical_order(self):
