@@ -37,6 +37,17 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+class _UsageError(Exception):
+    """An argparse error; ``args`` is (the parser that failed, the message)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Hands usage errors to :func:`main` instead of exiting; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise _UsageError(self, message)
+
+
 class _Emitter:
     def __init__(self, fmt: str, quiet: bool):
         self.fmt = fmt
@@ -77,7 +88,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="geomprod",
         description="Exact identities for products of geometric-sequence terms.",
     )
@@ -248,12 +259,32 @@ _COMMANDS = {
 }
 
 
+def _output_flags(argv: list[str] | None) -> tuple[str, bool]:
+    """``--format`` and ``--quiet`` wherever argv gives them, for a usage error."""
+    flags = _ArgumentParser(add_help=False)
+    _add_common(flags, suppress=False)
+    try:
+        known, _ = flags.parse_known_args(argv)
+    except _UsageError:  # e.g. --format xml
+        return "text", False
+    return known.format, known.quiet
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
+    except _UsageError as exc:
+        failed, message = exc.args
+        # stderr as argparse writes it; stdout keeps the one-JSON-document rule
+        failed.print_usage(sys.stderr)
+        print(f"{failed.prog}: error: {message}", file=sys.stderr)
+        fmt, quiet = _output_flags(argv)
+        if fmt == "json" and not quiet:
+            print(json.dumps({"error": {"message": message}}))
+        return 2
     emit = _Emitter(args.format, args.quiet)
     try:
         return _COMMANDS[args.command](args, emit)

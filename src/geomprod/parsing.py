@@ -23,9 +23,9 @@ with the offending position; an index below 1 raises
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exact import ONE, PI, ExactExponent, _of
 from .identities import Identity
@@ -46,162 +46,135 @@ class ParseError(ValueError):
         return f"parse error at position {self.position}: expected {self.expected}, found {self.found}"
 
 
-class _Token(NamedTuple):
-    kind: str  # "int", "name", "op", "end"
-    text: str
-    pos: int
-
-    def describe(self) -> str:
-        if self.kind == "end":
-            return "end of input"
-        return f"'{self.text}'"
-
-
-# Optional whitespace, then one token: each kind has its own group, in the
-# order of _KINDS, and the last group takes any other character as a bad
-# token.  The classes are ASCII on purpose: \s and \d would also accept
-# Unicode spaces and digits, which the grammar rejects.  Trailing whitespace
-# matches nothing and is skipped.
-_TOKEN_RE = re.compile(
-    r"[ \t\r\n\v\f]*(?:([0-9]+)|([A-Za-z]+)|([*^()+\-/=])|([^ \t\r\n\v\f]))"
-)
-_KINDS = (None, "int", "name", "op")
-_BAD = len(_KINDS)
-_new_token = tuple.__new__  # what _Token(...) calls, minus one Python frame
+# One token: a digit run, a letter run or one operator.  The classes are
+# ASCII on purpose: \s and \d would also accept Unicode spaces and digits,
+# which the grammar rejects; _STRAY_RE finds the first character that is
+# neither in a token class nor whitespace before any token is read.  Tokens
+# are plain strings without offsets: positions are found only on error, by
+# running _TOKEN_RE over the text once more (see _Parser.offset).
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z]+|[*^()+\-/=]")
+_STRAY_RE = re.compile(r"[^0-9A-Za-z*^()+\-/= \t\r\n\v\f]")
 
 _NEG_PI = -PI
 _ZERO = Fraction(0)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == _BAD:
-            raise ParseError(m.start(group), "a token", repr(m.group(group)))
-        tokens.append(_new_token(_Token, (_KINDS[group], m.group(group), m.start(group))))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        stray = _STRAY_RE.search(text)
+        if stray:
+            raise ParseError(stray.start(), "a token", repr(stray.group()))
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" ends the input
         self.at = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        # never past the end token: callers look ahead only from a non-end one
-        return self.tokens[self.at + ahead]
+    def offset(self, at: int) -> int:
+        for i, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if i == at:
+                return m.start()
+        return len(self.text)
 
-    def advance(self) -> _Token:
-        # only ever called on a token already checked, so never on the end one
+    def fail(self, expected: str, at: int | None = None) -> ParseError:
+        at = self.at if at is None else at
+        tok = self.tokens[at]
+        return ParseError(self.offset(at), expected, f"'{tok}'" if tok else "end of input")
+
+    def take(self, tok: str) -> bool:
+        if self.tokens[self.at] == tok:
+            self.at += 1
+            return True
+        return False
+
+    def expect(self, tok: str) -> None:
+        if not self.take(tok):
+            raise self.fail(f"'{tok}'")
+
+    def integer(self, what: str) -> int:
         tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
-    def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(tok.pos, expected, tok.describe())
-
-    def expect_op(self, op: str) -> _Token:
-        if not self.at_op(op):
-            raise self.fail(f"'{op}'")
-        return self.advance()
-
-    def at_op(self, op: str) -> bool:
-        # no other kind of token can have an operator character as its text
-        return self.tokens[self.at].text == op
-
-    def integer(self, what: str) -> tuple[int, int]:
-        tok = self.peek()
-        if tok.kind != "int":
+        if not tok.isdigit():
             raise self.fail(what)
-        self.advance()
-        return int(tok.text), tok.pos
+        try:
+            value = int(tok)
+        except ValueError:  # longer than the interpreter converts
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                self.offset(self.at), f"an integer of at most {limit} digits", f"{len(tok)} digits"
+            ) from None
+        self.at += 1
+        return value
 
     def signed_rational(self) -> Fraction:
-        negative = False
-        if self.at_op("-"):
-            self.advance()
-            negative = True
-        num, _ = self.integer("an integer")
+        negative = self.take("-")
+        num = self.integer("an integer")
         den = 1
-        if self.at_op("/"):
-            self.advance()
-            den, pos = self.integer("a denominator")
+        if self.take("/"):
+            den = self.integer("a denominator")
             if den == 0:
-                raise ParseError(pos, "a nonzero denominator", "'0'")
+                raise ParseError(self.offset(self.at - 1), "a nonzero denominator", "'0'")
         value = Fraction(num) if den == 1 else Fraction(num, den)
         return -value if negative else value
 
     def exp_atom(self) -> ExactExponent:
-        tok = self.peek()
-        if tok.kind == "name":
-            if tok.text != "pi":
+        tok = self.tokens[self.at]
+        if tok.isalpha():
+            if tok != "pi":
                 raise self.fail("'pi' or a rational")
-            self.advance()
+            self.at += 1
             return PI
         # tolerated shorthand: a bare sign directly before "pi"
-        if self.at_op("-") and self.peek(1).kind == "name" and self.peek(1).text == "pi":
-            self.advance()
-            self.advance()
+        if tok == "-" and self.tokens[self.at + 1] == "pi":
+            self.at += 2
             return _NEG_PI
         coeff = self.signed_rational()
-        if self.at_op("*") and self.peek(1).kind == "name":
-            name = self.peek(1)
-            if name.text != "pi":
-                raise ParseError(name.pos, "'pi'", name.describe())
-            self.advance()
-            self.advance()
+        if self.tokens[self.at] == "*" and self.tokens[self.at + 1].isalpha():
+            if self.tokens[self.at + 1] != "pi":
+                raise self.fail("'pi'", self.at + 1)
+            self.at += 2
             return _of(_ZERO, coeff)
-        if self.peek().kind == "name" and self.peek().text == "pi":
-            self.advance()
+        if self.take("pi"):
             return _of(_ZERO, coeff)
         return _of(coeff, _ZERO)
 
     def exp_expr(self) -> ExactExponent:
         value = self.exp_atom()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.advance().text
-            atom = self.exp_atom()
-            value = value + atom if op == "+" else value - atom
-        return value
+        while True:
+            if self.take("+"):
+                value = value + self.exp_atom()
+            elif self.take("-"):
+                value = value - self.exp_atom()
+            else:
+                return value
 
     def exponent(self) -> ExactExponent:
-        if self.at_op("("):
-            self.advance()
+        if self.take("("):
             value = self.exp_expr()
-            self.expect_op(")")
+            self.expect(")")
             return value
         return _of(self.signed_rational(), _ZERO)
 
     def term(self) -> list[tuple[int, ExactExponent]]:
-        tok = self.peek()
-        if tok.kind == "int" and int(tok.text) == 1:
-            self.advance()
+        if self.tokens[self.at].lstrip("0") == "1":
+            self.at += 1
             return []
-        if tok.kind != "name" or tok.text != "a":
+        if not self.take("a"):
             raise self.fail("a term like 'a3' (or the literal '1')")
-        self.advance()
-        index, pos = self.integer("a term index")
+        index = self.integer("a term index")
         if index < 1:
             raise InvalidIndexError(
-                f"term index must be >= 1, got {index} (at position {pos})"
+                f"term index must be >= 1, got {index} (at position {self.offset(self.at - 1)})"
             )
-        if self.at_op("^"):
-            self.advance()
+        if self.take("^"):
             return [(index, self.exponent())]
         return [(index, ONE)]
 
     def product(self) -> list[tuple[int, ExactExponent]]:
         pairs = self.term()
-        while self.at_op("*"):
-            self.advance()
+        while self.take("*"):
             pairs += self.term()
         return pairs
 
     def end(self) -> None:
-        if self.peek().kind != "end":
+        if self.tokens[self.at]:
             raise self.fail("end of input")
 
 
@@ -217,7 +190,7 @@ def parse_identity(text: str) -> Identity:
     """Parse ``<product> = <product>``; both sides come back normalized."""
     parser = _Parser(text)
     lhs = parser.product()
-    parser.expect_op("=")
+    parser.expect("=")
     rhs = parser.product()
     parser.end()
     return Identity(normalize(lhs), normalize(rhs))
@@ -234,33 +207,29 @@ def _exponent_latex(e: ExactExponent) -> str:
     return f"{e.rat}{joiner}{pi_part}"
 
 
+# style -> (term, powered term, joiner, exponent writer)
+_STYLES = {
+    "text": ("a{}", "a{}^({})", "*", str),
+    "latex": ("a_{{{}}}", "a_{{{}}}^{{{}}}", " \\cdot ", _exponent_latex),
+}
+
+
 def render(p: StringProduct, style: str = "text") -> str:
     """Canonical text ("a3*a4^(1/2)") or LaTeX math for a product.
 
     Text output re-parses to an equal product; the empty product renders
     as "1".
     """
-    if style == "text":
-        if p.is_empty():
-            return "1"
-        parts = []
-        for f in p.factors:
-            if f.exponent == ONE:
-                parts.append(f"a{f.index}")
-            else:
-                parts.append(f"a{f.index}^({f.exponent})")
-        return "*".join(parts)
-    if style == "latex":
-        if p.is_empty():
-            return "1"
-        parts = []
-        for f in p.factors:
-            if f.exponent == ONE:
-                parts.append(f"a_{{{f.index}}}")
-            else:
-                parts.append(f"a_{{{f.index}}}^{{{_exponent_latex(f.exponent)}}}")
-        return " \\cdot ".join(parts)
-    raise ValueError(f"unknown render style {style!r}")
+    try:
+        term, powered, joiner, exponent = _STYLES[style]
+    except (KeyError, TypeError):  # TypeError: an unhashable style
+        raise ValueError(f"unknown render style {style!r}") from None
+    if p.is_empty():
+        return "1"
+    return joiner.join(
+        term.format(f.index) if f.exponent == ONE else powered.format(f.index, exponent(f.exponent))
+        for f in p.factors
+    )
 
 
 def render_identity(ident: Identity, style: str = "text") -> str:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from .support import run_cli
 
 
@@ -248,6 +250,44 @@ class TestContract:
         for argv in cases:
             _, out, _ = run_cli(["--format", "json"] + argv)
             json.loads(out)
+
+    # Usage errors keep argparse's stderr and exit code 2; under --format json
+    # stdout also carries one {"error": {"message": ...}} document.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["family", "--t", "x", "--sum", "3", "--max-index", "4"], "argument --t: invalid int value: 'x'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["solve", "--indices", "5,2", "--target", "4", "--total", "1/0"], "argument --total: Fraction(1, 0)"),
+            ([], "the following arguments are required: command"),
+            (["canon"], "the following arguments are required: product"),
+            (["canon", "a3", "--zz"], "unrecognized arguments: --zz"),
+        ],
+    )
+    def test_usage_errors(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: geomprod") and f"error: {message}" in err
+        for json_argv in (["--format", "json"] + argv, argv + ["--format", "json"]):
+            code, out, json_err = run_cli(json_argv)
+            doc = json.loads(out)
+            assert code == 2 and json_err == err
+            assert list(doc) == ["error"] and list(doc["error"]) == ["message"]
+            assert doc["error"]["message"].startswith(message)
+            assert err.endswith(f"error: {doc['error']['message']}\n")
+        assert run_cli(["--format", "json", "--quiet"] + argv) == (2, "", err)
+
+    def test_overlong_integer_json_fields(self):
+        code, out, err = run_cli(["--format", "json", "canon", "a" + "9" * 5000])
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {
+                "position": 1,
+                "expected": f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                "found": "5000 digits",
+            }
+        }
+        assert err.startswith("geomprod: parse error at position 1:")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

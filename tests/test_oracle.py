@@ -22,26 +22,18 @@ from geomprod import (
     parse_identity,
     product_of_terms,
 )
+from geomprod.oracle import A1_RANGE, R_RANGE
 
 from .support import random_product, same_total_variant
 
 
 class TestOracleConfig:
     def test_defaults_are_admissible(self):
-        cfg = OracleConfig()
-        assert cfg.rel_tol == 1e-9
-        assert cfg.a1_range == (0.5, 2.0)
-        assert cfg.r_range == (1.1, 3.0)
-
-    def test_rejects_ratio_range_containing_one(self):
-        with pytest.raises(ValueError):
-            OracleConfig(r_range=(0.9, 1.5))
-        with pytest.raises(ValueError):
-            OracleConfig(r_range=(0.0, 0.5))
-
-    def test_rejects_nonpositive_first_term(self):
-        with pytest.raises(ValueError):
-            OracleConfig(a1_range=(-1.0, 2.0))
+        assert OracleConfig().rel_tol == 1e-9
+        assert A1_RANGE == (0.5, 2.0)
+        assert R_RANGE == (1.1, 3.0)
+        assert 0 < A1_RANGE[0] <= A1_RANGE[1]
+        assert 1 < R_RANGE[0] <= R_RANGE[1]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Parser and renderer: grammar coverage, errors, round trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,7 @@ class TestParse:
     def test_literal_one_is_the_empty_product(self):
         assert parse_product("1").is_empty()
         assert parse_product("1*a4") == normalize([(4, 1)])
+        assert parse_product("0" * 5000 + "1").is_empty()
 
     def test_zero_index(self):
         with pytest.raises(InvalidIndexError):
@@ -138,6 +140,12 @@ class TestParseErrors:
             ("a3 =", parse_product, 3, "end of input", "'='"),
             ("a3 =", parse_identity, 4, "a term like 'a3' (or the literal '1')", "end of input"),
             ("a3^(--1)", parse_product, 5, "an integer", "'-'"),
+            ("a3^(x)", parse_product, 4, "'pi' or a rational", "'x'"),
+            ("a*a3", parse_product, 1, "a term index", "'*'"),
+            ("a3^1/", parse_product, 5, "a denominator", "end of input"),
+            ("a3 a4 = a7", parse_identity, 3, "'='", "'a'"),
+            ("a3^(1", parse_product, 5, "')'", "end of input"),
+            ("a3^(2-)", parse_product, 6, "an integer", "')'"),
         ],
     )
     def test_error_fields_pinned(self, text, parse, position, expected, found):
@@ -145,6 +153,28 @@ class TestParseErrors:
             parse(text)
         err = info.value
         assert (err.position, err.expected, err.found) == (position, expected, found)
+
+    # A digit run longer than int() converts is a ParseError at its own
+    # offset; found gives its length, not the run.
+    @pytest.mark.parametrize(
+        "text, position",
+        [("a" + "9" * 5000, 1), ("a3^(1/" + "7" * 5000 + ")", 6), ("a3^(" + "0" * 5000 + ")", 4)],
+        ids=["index", "denominator", "numerator"],
+    )
+    def test_overlong_integer(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_product(text)
+        err = info.value
+        limit = sys.get_int_max_str_digits()
+        expected = f"an integer of at most {limit} digits"
+        assert (err.position, err.expected, err.found) == (position, expected, "5000 digits")
+
+    def test_overlong_digit_run_as_a_term(self):
+        with pytest.raises(ParseError) as info:
+            parse_product("9" * 5000)
+        err = info.value
+        assert (err.position, err.expected) == (0, "a term like 'a3' (or the literal '1')")
+        assert err.found == "'" + "9" * 5000 + "'"
 
     def test_index_error_names_its_position(self):
         with pytest.raises(InvalidIndexError, match=r"got 0 \(at position 6\)"):
