@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each subcommand handler returns ``(exit code, text lines, JSON payload, LaTeX
+lines)`` and prints nothing; :func:`main` applies ``--quiet`` and prints the
+one output ``--format`` picks.  Usage, parse and domain errors all leave
+through :func:`_error`.
+
 Exit codes: 0 for success (including a verified identity and feasible-but-
 empty listings), 1 for a refuted identity, 2 for usage, parse or domain
 errors.  ``--format json`` emits one JSON document on stdout on every code
@@ -15,6 +20,7 @@ from fractions import Fraction
 
 from .identities import (
     FamilyQuery,
+    Identity,
     collapse,
     decompose,
     enumerate_family,
@@ -28,6 +34,7 @@ from .parsing import ParseError, parse_identity, parse_product, render, render_i
 __all__ = ["main"]
 
 _FORMATS = ("text", "json", "latex")
+_Result = tuple[int, list[str], object, list[str]]
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -46,29 +53,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(self, message)
-
-
-class _Emitter:
-    def __init__(self, fmt: str, quiet: bool):
-        self.fmt = fmt
-        self.quiet = quiet
-
-    def result(self, text_lines, json_obj, latex_lines=None) -> None:
-        if self.quiet:
-            return
-        if self.fmt == "json":
-            print(json.dumps(json_obj))
-        elif self.fmt == "latex":
-            for line in latex_lines if latex_lines is not None else text_lines:
-                print(line)
-        else:
-            for line in text_lines:
-                print(line)
-
-    def error(self, message: str, payload: dict) -> None:
-        if self.fmt == "json" and not self.quiet:
-            print(json.dumps({"error": payload}))
-        print(f"geomprod: {message}", file=sys.stderr)
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -95,40 +79,41 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p, suppress=True)
+        p.set_defaults(run=run)
         return p
 
-    p = command("check", "verify an identity symbolically (and optionally numerically)")
+    p = command("check", "verify an identity symbolically (and optionally numerically)", _cmd_check)
     p.add_argument("identity", help='e.g. "a4*a3 = a6*a1"')
     p.add_argument("--trials", type=int, default=None, help="also run the numeric check")
     p.add_argument("--seed", type=int, default=0, help="numeric check seed")
 
-    p = command("canon", "canonical form and signature of a product")
+    p = command("canon", "canonical form and signature of a product", _cmd_canon)
     p.add_argument("product", help='e.g. "a4*a3^(1/2)"')
 
-    p = command("family", "list index multisets with a given size and subscript sum")
+    p = command("family", "list index multisets with a given size and subscript sum", _cmd_family)
     p.add_argument("--t", type=int, required=True, help="terms per product")
     p.add_argument("--sum", type=int, required=True, help="target subscript sum")
     p.add_argument("--max-index", type=int, required=True, help="largest usable index")
     p.add_argument("--repetition", action="store_true", help="allow repeated indices")
 
-    p = command("decompose", "weighted power forms matching a signature")
+    p = command("decompose", "weighted power forms matching a signature", _cmd_decompose)
     p.add_argument("--t", type=int, required=True, help="total weight")
     p.add_argument("--sum", type=int, required=True, help="target subscript sum")
     p.add_argument("--parts", type=int, required=True, help="number of distinct bases")
     p.add_argument("--max-index", type=int, required=True, help="largest usable index")
 
-    p = command("collapse", "express a product as a power of one term, if possible")
+    p = command("collapse", "express a product as a power of one term, if possible", _cmd_collapse)
     p.add_argument("product")
 
-    p = command("solve", "rational weights sending two terms onto a power of a third")
+    p = command("solve", "rational weights sending two terms onto a power of a third", _cmd_solve)
     p.add_argument("--indices", required=True, metavar="I,J", help="source indices")
     p.add_argument("--target", type=int, required=True, help="target index")
     p.add_argument("--total", type=_fraction_arg, required=True, help="target exponent, e.g. 3/2")
 
-    p = command("eval", "evaluate a product on a concrete sequence")
+    p = command("eval", "evaluate a product on a concrete sequence", _cmd_eval)
     p.add_argument("product")
     p.add_argument("--a1", type=float, required=True, help="first term (positive)")
     p.add_argument("--r", type=float, required=True, help="common ratio (positive)")
@@ -148,7 +133,7 @@ def _weight_text(w: Fraction) -> str:
     return str(w) if w.denominator == 1 else f"({w})"
 
 
-def _cmd_check(args, emit: _Emitter) -> int:
+def _cmd_check(args) -> _Result:
     ident = parse_identity(args.identity)
     verdict = verify_identity(ident)
     report = None
@@ -171,11 +156,10 @@ def _cmd_check(args, emit: _Emitter) -> int:
         "rhs_signature": rsig.to_json_dict(),
         "numeric": report.to_json_dict() if report is not None else None,
     }
-    emit.result(lines, payload, latex)
-    return 0 if verdict.verified else 1
+    return (0 if verdict.verified else 1), lines, payload, latex
 
 
-def _cmd_canon(args, emit: _Emitter) -> int:
+def _cmd_canon(args) -> _Result:
     p = parse_product(args.product)
     sig = signature(p)
     sig_line = f"signature: T={sig.total}, S={sig.weighted_sum}"
@@ -186,43 +170,34 @@ def _cmd_canon(args, emit: _Emitter) -> int:
         "signature": sig.to_json_dict(),
         **p.to_json_dict(),
     }
-    emit.result(lines, payload, latex)
-    return 0
+    return 0, lines, payload, latex
 
 
-def _cmd_family(args, emit: _Emitter) -> int:
+def _cmd_family(args) -> _Result:
     query = FamilyQuery(args.t, args.sum, args.max_index, args.repetition)
     families = enumerate_family(query)
     lines = ["+".join(str(i) for i in member) for member in families]
-    emit.result(lines, [list(member) for member in families])
-    return 0
+    return 0, lines, [list(member) for member in families], lines
 
 
-def _cmd_decompose(args, emit: _Emitter) -> int:
+def _cmd_decompose(args) -> _Result:
     results = decompose(args.t, args.sum, args.parts, args.max_index)
     products = [d.to_product() for d in results]
     lines = [render(p) for p in products]
     latex = [render(p, "latex") for p in products]
-    emit.result(lines, [d.to_json_dict() for d in results], latex)
-    return 0
+    return 0, lines, [d.to_json_dict() for d in results], latex
 
 
-def _cmd_collapse(args, emit: _Emitter) -> int:
+def _cmd_collapse(args) -> _Result:
     result = collapse(parse_product(args.product))
     if result is None:
-        emit.result(["none"], None, ["none"])
-        return 0
+        return 0, ["none"], None, ["none"]
     k, total = result
     p = normalize([(k, total)])
-    emit.result(
-        [render(p)],
-        {"index": k, "exponent": str(total)},
-        [render(p, "latex")],
-    )
-    return 0
+    return 0, [render(p)], {"index": k, "exponent": str(total)}, [render(p, "latex")]
 
 
-def _cmd_solve(args, emit: _Emitter) -> int:
+def _cmd_solve(args) -> _Result:
     try:
         i_text, j_text = args.indices.split(",")
         i, j = int(i_text), int(j_text)
@@ -233,30 +208,16 @@ def _cmd_solve(args, emit: _Emitter) -> int:
     lhs_text = " * ".join(f"a{b}^{_weight_text(w)}" for b, w in sources) or "1"
     rhs_text = f"a{args.target}^{_weight_text(args.total)}" if args.total != 0 else "1"
     text = f"{lhs_text} = {rhs_text}"
-    lhs_latex = " \\cdot ".join(f"a_{{{b}}}^{{{w}}}" for b, w in sources) or "1"
-    rhs_latex = f"a_{{{args.target}}}^{{{args.total}}}" if args.total != 0 else "1"
+    ident = Identity(normalize(sources), normalize([(args.target, args.total)]))
     payload = {"w1": str(w1), "w2": str(w2), "identity": text}
-    emit.result([text], payload, [f"{lhs_latex} = {rhs_latex}"])
-    return 0
+    return 0, [text], payload, [render_identity(ident, "latex")]
 
 
-def _cmd_eval(args, emit: _Emitter) -> int:
+def _cmd_eval(args) -> _Result:
     p = parse_product(args.product)
     l = args.max_index if args.max_index is not None else max(p.max_index(), 1)
     value = evaluate(p, SequenceSpec(args.a1, args.r, l))
-    emit.result([repr(value)], {"value": value})
-    return 0
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "canon": _cmd_canon,
-    "family": _cmd_family,
-    "decompose": _cmd_decompose,
-    "collapse": _cmd_collapse,
-    "solve": _cmd_solve,
-    "eval": _cmd_eval,
-}
+    return 0, [repr(value)], {"value": value}, [repr(value)]
 
 
 def _output_flags(argv: list[str] | None) -> tuple[str, bool]:
@@ -270,33 +231,39 @@ def _output_flags(argv: list[str] | None) -> tuple[str, bool]:
     return known.format, known.quiet
 
 
+def _error(fmt: str, quiet: bool, diagnostic: str, payload: dict) -> int:
+    """The one error path: ``diagnostic`` to stderr, ``{"error": payload}`` under json."""
+    sys.stderr.write(diagnostic)
+    if fmt == "json" and not quiet:
+        print(json.dumps({"error": payload}))
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except _UsageError as exc:
         failed, message = exc.args
-        # stderr as argparse writes it; stdout keeps the one-JSON-document rule
-        failed.print_usage(sys.stderr)
-        print(f"{failed.prog}: error: {message}", file=sys.stderr)
-        fmt, quiet = _output_flags(argv)
-        if fmt == "json" and not quiet:
-            print(json.dumps({"error": {"message": message}}))
-        return 2
-    emit = _Emitter(args.format, args.quiet)
+        # stderr as argparse writes it
+        usage = f"{failed.format_usage()}{failed.prog}: error: {message}\n"
+        return _error(*_output_flags(argv), usage, {"message": message})
     try:
-        return _COMMANDS[args.command](args, emit)
+        code, lines, payload, latex = args.run(args)
     except ParseError as exc:
-        emit.error(
-            str(exc),
-            {"position": exc.position, "expected": exc.expected, "found": exc.found},
-        )
-        return 2
+        where = {"position": exc.position, "expected": exc.expected, "found": exc.found}
+        return _error(args.format, args.quiet, f"geomprod: {exc}\n", where)
     except (OverflowError, ValueError) as exc:
-        emit.error(str(exc), {"message": str(exc)})
-        return 2
+        return _error(args.format, args.quiet, f"geomprod: {exc}\n", {"message": str(exc)})
+    if args.quiet:
+        return code
+    if args.format == "json":
+        print(json.dumps(payload))
+    else:
+        for line in latex if args.format == "latex" else lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

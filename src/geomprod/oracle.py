@@ -8,10 +8,11 @@ is seeded and vectorized; identical configuration gives bitwise-identical
 reports.  numpy is imported on the first numeric check, not with the package.
 
 :func:`brute_force_family` is the small-scale reference enumerator
-(materialize every combination, filter by sum) against which the pruned
-backtracking search is tested, and :func:`degenerate_probe` documents the
-one parameter point, ratio 1, where non-equivalent products of equal length
-become numerically indistinguishable.
+(materialize every combination, filter by sum) against which the closed-form
+explicit-stack walks of :mod:`geomprod.identities` are tested, and
+:func:`degenerate_probe` documents the one parameter point, ratio 1, where
+non-equivalent products of equal length become numerically
+indistinguishable.
 """
 
 from __future__ import annotations
@@ -77,21 +78,18 @@ class CheckReport:
         }
 
 
-def product_of_terms(p: StringProduct, a1: float, r: float) -> float:
-    """Literal term-by-term evaluation, independent of the signature path."""
+def product_of_terms(
+    p: StringProduct, a1: float | np.ndarray, r: float | np.ndarray
+) -> float | np.ndarray:
+    """Literal term-by-term evaluation, independent of the signature path.
+
+    Works elementwise when ``a1`` and ``r`` are numpy arrays of one shape; the
+    empty product is then the scalar 1.0.
+    """
     value = 1.0
     for f in p.factors:
         value *= (a1 * r ** (f.index - 1)) ** f.exponent.to_real()
     return value
-
-
-def _product_values(p: StringProduct, a1: np.ndarray, r: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    values = np.ones_like(a1)
-    for f in p.factors:
-        values = values * (a1 * r ** (f.index - 1)) ** f.exponent.to_real()
-    return values
 
 
 def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
@@ -111,8 +109,8 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     a1 = rng.uniform(A1_RANGE[0], A1_RANGE[1], cfg.trials)
     r = rng.uniform(R_RANGE[0], R_RANGE[1], cfg.trials)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        lhs = _product_values(ident.lhs, a1, r)
-        rhs = _product_values(ident.rhs, a1, r)
+        lhs = np.broadcast_to(product_of_terms(ident.lhs, a1, r), a1.shape)
+        rhs = np.broadcast_to(product_of_terms(ident.rhs, a1, r), a1.shape)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
         lv = lhs[valid]
         rv = rhs[valid]
@@ -137,8 +135,8 @@ def brute_force_family(
     """Reference family enumerator: materialize every combination, filter.
 
     Intentionally small-scale (max_index <= 15, t <= 5); anything larger is
-    refused because this exists to check the pruned search, not to replace
-    it.
+    refused because this exists to check the closed-form enumerators, not to
+    replace them.
     """
     if t < 1 or max_index < 1:
         raise ValueError("tuple size and max index must be >= 1")

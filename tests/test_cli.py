@@ -297,3 +297,181 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("verified:")
+
+
+# Exact (exit code, stdout, stderr) for every subcommand in each format, plus
+# --quiet, a negative total and one error of each kind.  Any change to what the
+# CLI prints shows up here as one failing row.
+_USAGE_CANON = "usage: geomprod canon [-h] product\n"
+_GOLDEN = [
+    (["check", "a4*a3 = a6*a1"], 0, "verified: T=2, S=7 on both sides\n", ""),
+    (
+        ["check", "a4*a3 = a6*a1", "--format", "json"],
+        0,
+        '{"verdict": "verified", "lhs_signature": {"total": "2", "weighted_sum": "7"}, '
+        '"rhs_signature": {"total": "2", "weighted_sum": "7"}, "numeric": null}\n',
+        "",
+    ),
+    (
+        ["check", "a4*a3 = a6*a1", "--format", "latex"],
+        0,
+        "a_{3} \\cdot a_{4} = a_{1} \\cdot a_{6}\nverified: T=2, S=7 on both sides\n",
+        "",
+    ),
+    (["check", "a3*a4 = a5*a1"], 1, "refuted: lhs T=2, S=7; rhs T=2, S=6\n", ""),
+    (
+        ["check", "a3*a4 = a5*a1", "--format", "json"],
+        1,
+        '{"verdict": "refuted", "lhs_signature": {"total": "2", "weighted_sum": "7"}, '
+        '"rhs_signature": {"total": "2", "weighted_sum": "6"}, "numeric": null}\n',
+        "",
+    ),
+    (
+        ["check", "a3*a4 = a5*a1", "--format", "latex"],
+        1,
+        "a_{3} \\cdot a_{4} = a_{1} \\cdot a_{5}\nrefuted: lhs T=2, S=7; rhs T=2, S=6\n",
+        "",
+    ),
+    (["canon", "a4*a3^(1/2)"], 0, "canonical: a3^(1/2)*a4\nsignature: T=3/2, S=11/2\n", ""),
+    (
+        ["canon", "a4*a3^(1/2)", "--format", "json"],
+        0,
+        '{"canonical": "a3^(1/2)*a4", "signature": {"total": "3/2", "weighted_sum": "11/2"}, '
+        '"factors": [{"index": 3, "exp": {"rat": "1/2", "pi": "0"}}, '
+        '{"index": 4, "exp": {"rat": "1", "pi": "0"}}]}\n',
+        "",
+    ),
+    (
+        ["canon", "a4*a3^(1/2)", "--format", "latex"],
+        0,
+        "canonical: a_{3}^{1/2} \\cdot a_{4}\nsignature: T=3/2, S=11/2\n",
+        "",
+    ),
+    (["family", "--t", "2", "--sum", "7", "--max-index", "6"], 0, "1+6\n2+5\n3+4\n", ""),
+    (
+        ["family", "--t", "2", "--sum", "7", "--max-index", "6", "--format", "json"],
+        0,
+        "[[1, 6], [2, 5], [3, 4]]\n",
+        "",
+    ),
+    (
+        ["family", "--t", "2", "--sum", "7", "--max-index", "6", "--format", "latex"],
+        0,
+        "1+6\n2+5\n3+4\n",
+        "",
+    ),
+    (
+        ["decompose", "--t", "3", "--sum", "12", "--parts", "2", "--max-index", "8"],
+        0,
+        "a2*a5^(2)\na2^(2)*a8\na3^(2)*a6\n",
+        "",
+    ),
+    (
+        ["decompose", "--t", "3", "--sum", "12", "--parts", "2", "--max-index", "8",
+         "--format", "json"],
+        0,
+        '[{"parts": [{"index": 2, "weight": 1}, {"index": 5, "weight": 2}]}, '
+        '{"parts": [{"index": 2, "weight": 2}, {"index": 8, "weight": 1}]}, '
+        '{"parts": [{"index": 3, "weight": 2}, {"index": 6, "weight": 1}]}]\n',
+        "",
+    ),
+    (
+        ["decompose", "--t", "3", "--sum", "12", "--parts", "2", "--max-index", "8",
+         "--format", "latex"],
+        0,
+        "a_{2} \\cdot a_{5}^{2}\na_{2}^{2} \\cdot a_{8}\na_{3}^{2} \\cdot a_{6}\n",
+        "",
+    ),
+    (["collapse", "a3*a5"], 0, "a4^(2)\n", ""),
+    (["collapse", "a3*a5", "--format", "json"], 0, '{"index": 4, "exponent": "2"}\n', ""),
+    (["collapse", "a3*a5", "--format", "latex"], 0, "a_{4}^{2}\n", ""),
+    (["collapse", "a2*a5"], 0, "none\n", ""),
+    (["collapse", "a2*a5", "--format", "json"], 0, "null\n", ""),
+    (["collapse", "a2*a5", "--format", "latex"], 0, "none\n", ""),
+    (
+        ["solve", "--indices", "5,2", "--target", "4", "--total", "3/2"],
+        0,
+        "a5^1 * a2^(1/2) = a4^(3/2)\n",
+        "",
+    ),
+    (
+        ["solve", "--indices", "5,2", "--target", "4", "--total", "3/2", "--format", "json"],
+        0,
+        '{"w1": "1", "w2": "1/2", "identity": "a5^1 * a2^(1/2) = a4^(3/2)"}\n',
+        "",
+    ),
+    (
+        ["solve", "--indices", "5,2", "--target", "4", "--total", "3/2", "--format", "latex"],
+        0,
+        "a_{2}^{1/2} \\cdot a_{5} = a_{4}^{3/2}\n",
+        "",
+    ),
+    # a negative total needs the "=" form: argparse reads "-3/2" as an option
+    (
+        ["solve", "--indices", "5,2", "--target", "4", "--total=-3/2"],
+        0,
+        "a5^-1 * a2^(-1/2) = a4^(-3/2)\n",
+        "",
+    ),
+    (
+        ["solve", "--indices", "5,2", "--target", "4", "--total=-3/2", "--format", "json"],
+        0,
+        '{"w1": "-1", "w2": "-1/2", "identity": "a5^-1 * a2^(-1/2) = a4^(-3/2)"}\n',
+        "",
+    ),
+    (
+        ["solve", "--indices", "5,2", "--target", "4", "--total=-3/2", "--format", "latex"],
+        0,
+        "a_{2}^{-1/2} \\cdot a_{5}^{-1} = a_{4}^{-3/2}\n",
+        "",
+    ),
+    (["eval", "a3*a4", "--a1", "1", "--r", "2"], 0, "32.0\n", ""),
+    (["eval", "a3*a4", "--a1", "1", "--r", "2", "--format", "json"], 0, '{"value": 32.0}\n', ""),
+    (["eval", "a3*a4", "--a1", "1", "--r", "2", "--format", "latex"], 0, "32.0\n", ""),
+    (["--quiet", "check", "a3*a4 = a5*a1"], 1, "", ""),
+    (["--format", "json", "--quiet", "canon", "a4"], 0, "", ""),
+    (
+        ["check", "a4*a3 == a6"],
+        2,
+        "",
+        "geomprod: parse error at position 7: expected a term like 'a3' (or the literal '1'), "
+        "found '='\n",
+    ),
+    (
+        ["--format", "json", "check", "a4*a3 == a6"],
+        2,
+        '{"error": {"position": 7, "expected": "a term like \'a3\' (or the literal \'1\')", '
+        '"found": "\'=\'"}}\n',
+        "geomprod: parse error at position 7: expected a term like 'a3' (or the literal '1'), "
+        "found '='\n",
+    ),
+    (
+        ["solve", "--indices", "3,3", "--target", "5", "--total", "2"],
+        2,
+        "",
+        "geomprod: equal source indices 3 cannot reach a different target 5\n",
+    ),
+    (
+        ["--format", "json", "solve", "--indices", "3,3", "--target", "5", "--total", "2"],
+        2,
+        '{"error": {"message": "equal source indices 3 cannot reach a different target 5"}}\n',
+        "geomprod: equal source indices 3 cannot reach a different target 5\n",
+    ),
+    (
+        ["canon"],
+        2,
+        "",
+        _USAGE_CANON + "geomprod canon: error: the following arguments are required: product\n",
+    ),
+    (
+        ["--format", "json", "canon"],
+        2,
+        '{"error": {"message": "the following arguments are required: product"}}\n',
+        _USAGE_CANON + "geomprod canon: error: the following arguments are required: product\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _GOLDEN, ids=[" ".join(g[0]) for g in _GOLDEN])
+def test_golden_output(argv, code, out, err):
+    assert run_cli(argv) == (code, out, err)

@@ -117,6 +117,20 @@ class TestTermByTermEvaluation:
             closed = evaluate(p, SequenceSpec(a1, r, 64))
             assert abs(direct - closed) <= 1e-9 * max(abs(direct), abs(closed))
 
+    def test_arrays_match_scalar_calls(self):
+        # numeric_check runs product_of_terms on sample arrays; numpy's
+        # vectorised pow may differ from libm's in the last bits, hence rtol
+        import numpy as np
+
+        rng = random.Random(2024)
+        for _ in range(200):
+            p = random_product(rng)
+            a1 = [rng.uniform(*A1_RANGE) for _ in range(20)]
+            r = [rng.uniform(*R_RANGE) for _ in range(20)]
+            values = np.broadcast_to(product_of_terms(p, np.array(a1), np.array(r)), (20,))
+            scalars = [product_of_terms(p, x, y) for x, y in zip(a1, r)]
+            np.testing.assert_allclose(values, scalars, rtol=1e-12)
+
     def test_literal_small_case(self):
         p = normalize([(3, 1), (4, 1)])
         assert product_of_terms(p, 1.0, 2.0) == pytest.approx(32.0, rel=1e-12)
