@@ -1,7 +1,7 @@
 # Every symbolic verdict can be cross-checked numerically.  The oracle
 # samples admissible sequences (positive first term, ratio away from 0
-# and 1) and evaluates both sides of an identity as the literal product
-# of its terms, not through the signature formula, so agreement is
+# and 1) and compares the logarithms of the two sides, each summed term
+# by term and not through the signature formula, so agreement is
 # independent evidence.
 
 from geomprod import (
@@ -12,8 +12,6 @@ from geomprod import (
     enumerate_family,
     numeric_check,
     parse_identity,
-    product_of_terms,
-    parse_product,
 )
 
 cfg = OracleConfig(trials=1000, seed=7)
@@ -31,9 +29,15 @@ print("false identity:", numeric_check(bad, cfg))
 again = numeric_check(good, OracleConfig(trials=1000, seed=7))
 print("same seed, same report:", numeric_check(good, cfg) == again)
 
-# The literal term-by-term route agrees with the closed form a1**T * r**(S-T):
-p = parse_product("a3*a4")
-print("term-by-term value of a3*a4 at a1=1, r=2:", product_of_terms(p, 1.0, 2.0))
+# Log sums never overflow, so deep terms raised to large powers are still
+# decided on every trial, although the products themselves exceed any float:
+deep = parse_identity("a2000^20 = a1999^10 * a2001^10")
+print("deep identity:", numeric_check(deep, cfg))
+
+# Only when rounding in the log sums could exceed the tolerance is the check
+# "unstable", and then no trial is run at all:
+huge = parse_identity("a2^100000000 = a1^50000000 * a3^50000000")
+print("ill-conditioned identity:", numeric_check(huge, cfg))
 
 # Ratio exactly 1 is the degenerate point: every term equals a1, so any
 # two products with the same number of terms coincide there even when

@@ -45,7 +45,6 @@ from .oracle import (
     brute_force_family,
     degenerate_probe,
     numeric_check,
-    product_of_terms,
 )
 from .parsing import ParseError, parse_identity, parse_product, render, render_identity
 
@@ -96,5 +95,4 @@ __all__ = [
     "numeric_check",
     "brute_force_family",
     "degenerate_probe",
-    "product_of_terms",
 ]

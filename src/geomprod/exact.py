@@ -105,10 +105,6 @@ class ExactExponent:
     def to_json_dict(self) -> dict[str, str]:
         return {"rat": str(self.rat), "pi": str(self.pi)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict[str, str]) -> ExactExponent:
-        return cls(Fraction(data["rat"]), Fraction(data["pi"]))
-
 
 _new = object.__new__
 _set_rat = ExactExponent.__dict__["rat"].__set__

@@ -115,14 +115,6 @@ class StringProduct:
         """Largest index present, or 0 for the empty product."""
         return self.factors[-1].index if self.factors else 0
 
-    def __mul__(self, other: StringProduct) -> StringProduct:
-        if not isinstance(other, StringProduct):
-            return NotImplemented
-        return product(self, other)
-
-    def __pow__(self, c: RationalLike) -> StringProduct:
-        return power(self, c)
-
     def to_json_dict(self) -> dict:
         return {
             "factors": [
@@ -130,13 +122,6 @@ class StringProduct:
                 for f in self.factors
             ]
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> StringProduct:
-        return normalize(
-            (item["index"], ExactExponent.from_json_dict(item["exp"]))
-            for item in data["factors"]
-        )
 
 
 EMPTY = StringProduct()

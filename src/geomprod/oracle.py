@@ -1,11 +1,10 @@
 """Numeric cross-checks for symbolic claims.
 
-The verifiers here deliberately avoid the signature shortcut: each side of
-an identity is computed as the literal product of its terms,
-``prod((a1 * r**(index-1)) ** exponent)``, so a numeric pass is independent
-evidence and not a float restatement of the symbolic comparison.  Sampling
-is seeded and vectorized; identical configuration gives bitwise-identical
-reports.  numpy is imported on the first numeric check, not with the package.
+:func:`numeric_check` compares log sums taken term by term, not through the
+signature, so a pass is independent evidence; "unstable" means rounding alone
+could fail the identity, so no trial ran.  Sampling is seeded, vectorized and
+reduced in seed order, so reports are reproducible bit for bit.  numpy is
+imported on the first numeric check, not with the package.
 
 :func:`brute_force_family` is the small-scale reference enumerator
 (materialize every combination, filter by sum) against which the closed-form
@@ -18,20 +17,17 @@ indistinguishable.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .identities import Identity
-from .model import SequenceSpec, StringProduct, equivalent, evaluate, signature
-
-if TYPE_CHECKING:
-    import numpy as np
+from .model import SequenceSpec, equivalent, evaluate, signature
 
 __all__ = [
     "OracleConfig",
     "CheckReport",
     "DegenerateReport",
-    "product_of_terms",
     "numeric_check",
     "brute_force_family",
     "degenerate_probe",
@@ -41,11 +37,10 @@ _BRUTE_MAX_INDEX = 15
 _BRUTE_MAX_SIZE = 5
 
 # Sampling ranges of numeric_check: strictly inside the admissible region
-# (positive first term, ratio bounded away from 0 and 1) and tame enough that
-# products of a few hundred terms cannot overflow, which keeps "identity is
-# false" separate from "floating point blew up".
+# (positive first term, ratio bounded away from 0 and 1).
 A1_RANGE = (0.5, 2.0)
 R_RANGE = (1.1, 3.0)
+_MAX_LOG = max(-math.log(A1_RANGE[0]), math.log(A1_RANGE[1]), math.log(R_RANGE[1]))
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,8 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -78,55 +75,43 @@ class CheckReport:
         }
 
 
-def product_of_terms(
-    p: StringProduct, a1: float | np.ndarray, r: float | np.ndarray
-) -> float | np.ndarray:
-    """Literal term-by-term evaluation, independent of the signature path.
-
-    Works elementwise when ``a1`` and ``r`` are numpy arrays of one shape; the
-    empty product is then the scalar 1.0.
-    """
-    value = 1.0
-    for f in p.factors:
-        value *= (a1 * r ** (f.index - 1)) ** f.exponent.to_real()
-    return value
-
-
 def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
-    """Sample sequences and compare the two sides term-by-term.
+    """Sample sequences and compare the logarithms of the two sides.
 
-    The verdict is "pass" when every evaluated trial agrees within
-    ``cfg.rel_tol`` relative error, "fail" otherwise; trials where either
-    side leaves the finite range are skipped, and a skip rate of 1% or more
-    makes the whole report "unstable".  The reduction is a plain
-    seed-ordered pass over the sample stream, so the report is reproducible
-    bit for bit.
+    Each trial sums ``d = sum(e * (ln a1 + (i-1) * ln r))`` over the factors
+    ``a_i^e``, lhs minus rhs, and passes when ``-expm1(-|d|)``, which is
+    ``|lhs - rhs| / max(lhs, rhs)``, is within ``cfg.rel_tol``.  The verdict
+    is "pass" when every trial passes and "fail" otherwise, but "unstable",
+    with every trial skipped, when the bound on what rounding adds to a true
+    identity's ``d`` (exactly 0) exceeds ``rel_tol`` or overflows.  That bound
+    is ``(n + c)*eps*L*sum(i*m)`` over ``n`` factors, with ``L`` the largest
+    ``|ln a1|`` or ``ln r`` in range and ``m = |q| + |p|*pi`` for
+    ``e = q + p*pi`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3-4).  In units ``eps/2``, ``to_real`` rounds 4
+    times, the float ``i-1``, two products and a sum 4 more, and the sum of
+    terms ``n - 1``: ``c = 7`` to first order, the factor 2 covering the rest.
     """
+    factors = ident.lhs.factors + ident.rhs.factors
+    try:
+        weight = sum((abs(f.exponent.rat) + abs(f.exponent.pi) * math.pi) * f.index for f in factors)
+    except OverflowError:
+        weight = math.inf
+    if (len(factors) + 7) * sys.float_info.epsilon * _MAX_LOG * weight > cfg.rel_tol:
+        return CheckReport("unstable", cfg.trials, 0, 0.0, cfg.trials)
     # imported here so that the symbolic core and the CLI start without numpy
     import numpy as np
 
     rng = np.random.default_rng(cfg.seed)
-    a1 = rng.uniform(A1_RANGE[0], A1_RANGE[1], cfg.trials)
-    r = rng.uniform(R_RANGE[0], R_RANGE[1], cfg.trials)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        lhs = np.broadcast_to(product_of_terms(ident.lhs, a1, r), a1.shape)
-        rhs = np.broadcast_to(product_of_terms(ident.rhs, a1, r), a1.shape)
-        valid = np.isfinite(lhs) & np.isfinite(rhs)
-        lv = lhs[valid]
-        rv = rhs[valid]
-        scale = np.maximum(np.abs(lv), np.abs(rv))
-        diff = np.abs(lv - rv)
-        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
-    skipped = int(cfg.trials - int(valid.sum()))
-    max_rel_error = float(rel.max()) if rel.size else 0.0
+    log_a1 = np.log(rng.uniform(A1_RANGE[0], A1_RANGE[1], cfg.trials))
+    log_r = np.log(rng.uniform(R_RANGE[0], R_RANGE[1], cfg.trials))
+    diff = np.zeros(cfg.trials)
+    for side, sign in ((ident.lhs, 1), (ident.rhs, -1)):
+        for f in side.factors:
+            diff += sign * f.exponent.to_real() * (log_a1 + (f.index - 1) * log_r)
+    rel = -np.expm1(-np.abs(diff))
     pass_count = int((rel <= cfg.rel_tol).sum())
-    if skipped * 100 >= cfg.trials:
-        verdict = "unstable"
-    elif pass_count == rel.size:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return CheckReport(verdict, cfg.trials, pass_count, max_rel_error, skipped)
+    verdict = "pass" if pass_count == cfg.trials else "fail"
+    return CheckReport(verdict, cfg.trials, pass_count, float(rel.max()), 0)
 
 
 def brute_force_family(

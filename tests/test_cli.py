@@ -43,6 +43,27 @@ class TestCheck:
         assert doc["lhs_signature"] == {"total": "2", "weighted_sum": "7"}
         assert doc["numeric"]["verdict"] == "pass"
 
+    def test_exponent_beyond_float_range(self):
+        huge = "1" + "0" * 400
+        argv = ["check", f"a2^{huge} = a2^{huge}", "--trials", "10"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert out.startswith("verified: ")
+        assert out.endswith("\nnumeric: unstable (trials=10, max_rel_error=0, skipped=10)\n")
+        code, out, _ = run_cli(["--format", "json"] + argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "verified"
+        assert doc["numeric"] == {
+            "verdict": "unstable", "trials": 10, "max_rel_error": 0.0, "skipped": 10
+        }
+
+    def test_negative_seed_exits_2(self):
+        argv = ["--format", "json", "check", "a4*a3 = a6*a1", "--trials", "10", "--seed", "-1"]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"message": "seed must be >= 0, got -1"}}
+        assert err == "geomprod: seed must be >= 0, got -1\n"
+
     def test_parse_error_exits_2(self):
         code, _, err = run_cli(["check", "a4*a3 == a6"])
         assert code == 2
