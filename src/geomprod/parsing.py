@@ -77,7 +77,13 @@ class _Parser:
     def fail(self, expected: str, at: int | None = None) -> ParseError:
         at = self.at if at is None else at
         tok = self.tokens[at]
-        return ParseError(self.offset(at), expected, f"'{tok}'" if tok else "end of input")
+        if not tok:
+            found = "end of input"
+        elif tok.isdigit() and 0 < sys.get_int_max_str_digits() < len(tok):
+            found = f"{len(tok)} digits"
+        else:
+            found = f"'{tok}'"
+        return ParseError(self.offset(at), expected, found)
 
     def take(self, tok: str) -> bool:
         if self.tokens[self.at] == tok:
@@ -96,10 +102,7 @@ class _Parser:
         try:
             value = int(tok)
         except ValueError:  # longer than the interpreter converts
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(
-                self.offset(self.at), f"an integer of at most {limit} digits", f"{len(tok)} digits"
-            ) from None
+            raise self.fail(f"an integer of at most {sys.get_int_max_str_digits()} digits") from None
         self.at += 1
         return value
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -56,6 +57,20 @@ class TestCheck:
         assert doc["numeric"] == {
             "verdict": "unstable", "trials": 10, "max_rel_error": 0.0, "skipped": 10
         }
+
+    def test_ten_million_trials_in_constant_memory(self):
+        import numpy  # noqa: F401  (its import is not what this measures)
+
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["--format", "json", "check", "a3 = a3", "--trials", "10000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        numeric = json.loads(out)["numeric"]
+        assert numeric["verdict"] == "pass" and numeric["trials"] == 10_000_000
+        assert peak < 8 * 2**20
 
     def test_negative_seed_exits_2(self):
         argv = ["--format", "json", "check", "a4*a3 = a6*a1", "--trials", "10", "--seed", "-1"]
@@ -324,6 +339,8 @@ class TestContract:
 # --quiet, a negative total and one error of each kind.  Any change to what the
 # CLI prints shows up here as one failing row.
 _USAGE_CANON = "usage: geomprod canon [-h] product\n"
+_TERM = "a term like 'a3' (or the literal '1')"
+_DIGITS = "9" * 5000
 _GOLDEN = [
     (["check", "a4*a3 = a6*a1"], 0, "verified: T=2, S=7 on both sides\n", ""),
     (
@@ -478,6 +495,31 @@ _GOLDEN = [
         '{"error": {"message": "equal source indices 3 cannot reach a different target 5"}}\n',
         "geomprod: equal source indices 3 cannot reach a different target 5\n",
     ),
+    # a digit run past the interpreter's conversion limit is named by length
+    (
+        ["canon", _DIGITS],
+        2,
+        "",
+        f"geomprod: parse error at position 0: expected {_TERM}, found 5000 digits\n",
+    ),
+    (
+        ["--format", "json", "canon", _DIGITS],
+        2,
+        f'{{"error": {{"position": 0, "expected": "{_TERM}", "found": "5000 digits"}}}}\n',
+        f"geomprod: parse error at position 0: expected {_TERM}, found 5000 digits\n",
+    ),
+    (
+        ["canon", "a3 " + _DIGITS],
+        2,
+        "",
+        "geomprod: parse error at position 3: expected end of input, found 5000 digits\n",
+    ),
+    (
+        ["--format", "json", "canon", "a3 " + _DIGITS],
+        2,
+        '{"error": {"position": 3, "expected": "end of input", "found": "5000 digits"}}\n',
+        "geomprod: parse error at position 3: expected end of input, found 5000 digits\n",
+    ),
     (
         ["canon"],
         2,
@@ -493,6 +535,8 @@ _GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, out, err", _GOLDEN, ids=[" ".join(g[0]) for g in _GOLDEN])
+@pytest.mark.parametrize(
+    "argv, code, out, err", _GOLDEN, ids=[" ".join(g[0]).replace(_DIGITS, "9*5000") for g in _GOLDEN]
+)
 def test_golden_output(argv, code, out, err):
     assert run_cli(argv) == (code, out, err)

@@ -1,15 +1,18 @@
 """Numeric oracle: sampling checks, reference enumeration, degenerate point."""
 
 import collections
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from geomprod import (
+    CheckReport,
     Identity,
     OracleConfig,
     brute_force_family,
@@ -21,7 +24,7 @@ from geomprod import (
     parse_identity,
     power,
 )
-from geomprod.oracle import A1_RANGE, R_RANGE
+from geomprod.oracle import _BLOCK, _MAX_LOG, A1_RANGE, R_RANGE
 
 from .support import equivalent_variant, random_product, same_total_variant
 
@@ -41,6 +44,20 @@ class TestOracleConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             OracleConfig(seed=-1)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1.0, math.inf])
+    def test_rejects_tolerance_outside_unit_interval(self, rel_tol):
+        with pytest.raises(ValueError, match=f"relative tolerance must be in \\(0, 1\\), got {rel_tol}"):
+            OracleConfig(rel_tol=rel_tol)
+
+    # accepted, NaN failed a true identity (every comparison is false) and
+    # 2.0 passed a false one (every ratio is below 1)
+    @pytest.mark.parametrize(
+        "text, rel_tol", [("a2*a8 = a5^2", math.nan), ("a2*a8 = a5*a6", 2.0)]
+    )
+    def test_tolerance_that_decides_no_trial_is_rejected(self, text, rel_tol):
+        with pytest.raises(ValueError, match=f"relative tolerance must be in \\(0, 1\\), got {rel_tol}"):
+            numeric_check(parse_identity(text), OracleConfig(trials=100, rel_tol=rel_tol))
 
 
 class TestLazyNumpy:
@@ -144,6 +161,66 @@ class TestLogDomain:
         report = numeric_check(ident, OracleConfig(trials=1000))
         assert report.verdict == "unstable"
         assert report.skipped == 1000
+
+
+def reference_numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
+    """The whole-array evaluation: every trial's draws and terms at once."""
+    import numpy as np
+
+    factors = ident.lhs.factors + ident.rhs.factors
+    try:
+        weight = sum((abs(f.exponent.rat) + abs(f.exponent.pi) * math.pi) * f.index for f in factors)
+    except OverflowError:
+        weight = math.inf
+    if (len(factors) + 7) * sys.float_info.epsilon * _MAX_LOG * weight > cfg.rel_tol:
+        return CheckReport("unstable", cfg.trials, 0, 0.0, cfg.trials)
+    rng = np.random.default_rng(cfg.seed)
+    log_a1 = np.log(rng.uniform(A1_RANGE[0], A1_RANGE[1], cfg.trials))
+    log_r = np.log(rng.uniform(R_RANGE[0], R_RANGE[1], cfg.trials))
+    diff = np.zeros(cfg.trials)
+    for side, sign in ((ident.lhs, 1), (ident.rhs, -1)):
+        for f in side.factors:
+            diff += sign * f.exponent.to_real() * (log_a1 + (f.index - 1) * log_r)
+    rel = -np.expm1(-np.abs(diff))
+    pass_count = int((rel <= cfg.rel_tol).sum())
+    verdict = "pass" if pass_count == cfg.trials else "fail"
+    return CheckReport(verdict, cfg.trials, pass_count, float(rel.max()), 0)
+
+
+class TestBlockedSampling:
+    """Blocks of ``_BLOCK`` trials give the whole-array report bit for bit."""
+
+    @pytest.mark.parametrize("trials", [1, 100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_reports_equal_whole_array_evaluation(self, trials):
+        idents = [
+            parse_identity("a2*a8 = a5^2"),
+            parse_identity("a3*a4 = a5*a1"),
+            parse_identity("a3^(6pi) * a6^6 = a2^(5pi+2) * a8^(pi+4)"),
+            parse_identity("a300^-40 = a299^-40"),
+            parse_identity("a2^100000000 = a1^50000000 * a3^50000000"),
+            Identity(normalize([]), normalize([])),
+        ]
+        rng = random.Random(trials)
+        for _ in range(3):
+            p = random_product(rng, max_factors=6, max_index=300)
+            idents += [Identity(p, equivalent_variant(rng, p, steps=4)), Identity(p, random_product(rng))]
+        for ident in idents:
+            for seed in (0, 5, 2**40 + 3):
+                cfg = OracleConfig(trials=trials, seed=seed)
+                assert repr(numeric_check(ident, cfg)) == repr(reference_numeric_check(ident, cfg))
+
+    def test_memory_does_not_grow_with_trials(self):
+        import numpy  # noqa: F401  (its import is not what this measures)
+
+        ident = parse_identity("a3^(6pi) * a6^6 = a2^(5pi+2) * a8^(pi+4)")
+        tracemalloc.start()
+        try:
+            report = numeric_check(ident, OracleConfig(trials=2_000_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "pass"
+        assert peak < 4 * 2**20
 
 
 class TestTermByTermEvaluation:
