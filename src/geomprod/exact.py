@@ -1,12 +1,11 @@
 """Exact arithmetic for the symbolic core.
 
 Rational numbers are plain :class:`fractions.Fraction` values (always stored
-reduced, positive denominator, zero as ``0/1``), re-exported here as
-:data:`Rational`.  On top of them sits :class:`ExactExponent`, a formal linear
-combination ``q + p*pi`` with rational ``q`` and ``p``.  This is the exponent
-domain of the whole engine: equality of exponents is decidable componentwise
-because pi is irrational, so two exponents are equal as real numbers exactly
-when both components match.
+reduced, positive denominator, zero as ``0/1``).  On top of them sits
+:class:`ExactExponent`, a formal linear combination ``q + p*pi`` with rational
+``q`` and ``p``.  This is the exponent domain of the whole engine: equality of
+exponents is decidable componentwise because pi is irrational, so two
+exponents are equal as real numbers exactly when both components match.
 
 Coercion happens at the boundaries only: the public constructor turns ints
 and strings into Fractions (and rejects floats), while arithmetic between
@@ -20,9 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Rational", "ExactExponent", "as_rational"]
-
-Rational = Fraction
+__all__ = ["ExactExponent", "as_rational"]
 
 RationalLike = Fraction | int | str
 
@@ -41,9 +38,9 @@ class ExactExponent:
     """An exact exponent of the form ``rat + pi * π``.
 
     Immutable and hashable; supports addition, subtraction, negation and
-    scaling by a rational.  The canonical text form is ``"q"``, ``"p*pi"`` or
-    ``"q+p*pi"`` with the sign of the pi term folded into the joining
-    operator, e.g. ``"2-5*pi"``.
+    scaling by a rational (:meth:`scale`).  The canonical text form is
+    ``"q"``, ``"p*pi"`` or ``"q+p*pi"`` with the sign of the pi term folded
+    into the joining operator, e.g. ``"2-5*pi"``.
     """
 
     rat: Fraction = Fraction(0)
@@ -72,13 +69,6 @@ class ExactExponent:
         """Multiply both components by the rational ``c``."""
         c = as_rational(c)
         return _of(self.rat * c, self.pi * c)
-
-    def __mul__(self, c: RationalLike) -> ExactExponent:
-        if isinstance(c, (Fraction, int)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not self.rat and not self.pi
@@ -123,6 +113,5 @@ def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
     return e
 
 
-ZERO = ExactExponent()
 ONE = ExactExponent(1)
 PI = ExactExponent(0, 1)

@@ -102,12 +102,6 @@ class Decomposition:
 
     parts: tuple[tuple[int, int], ...]
 
-    def total_weight(self) -> int:
-        return sum(w for _, w in self.parts)
-
-    def weighted_sum(self) -> int:
-        return sum(b * w for b, w in self.parts)
-
     def to_product(self) -> StringProduct:
         return normalize((b, w) for b, w in self.parts)
 

@@ -91,7 +91,9 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     ``|lhs - rhs| / max(lhs, rhs)``, is within ``cfg.rel_tol``.  The verdict
     is "pass" when every trial passes and "fail" otherwise, but "unstable",
     with every trial skipped, when the bound on what rounding adds to a true
-    identity's ``d`` (exactly 0) exceeds ``rel_tol`` or overflows.  That bound
+    identity's ``d`` (exactly 0) exceeds ``rel_tol`` or overflows, or when an
+    index ``i`` is so large that ``(i-1) * ln r`` leaves the float range before
+    its exponent scales it, however small that exponent is.  That bound
     is ``(n + c)*eps*L*sum(i*m)`` over ``n`` factors, with ``L`` the largest
     ``|ln a1|`` or ``ln r`` in range and ``m = |q| + |p|*pi`` for
     ``e = q + p*pi`` (Higham, *Accuracy and Stability of Numerical
@@ -111,9 +113,11 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     factors = ident.lhs.factors + ident.rhs.factors
     try:
         weight = sum((abs(f.exponent.rat) + abs(f.exponent.pi) * math.pi) * f.index for f in factors)
+        reach = _MAX_LOG * max(ident.lhs.max_index(), ident.rhs.max_index())
     except OverflowError:
-        weight = math.inf
-    if (len(factors) + 7) * sys.float_info.epsilon * _MAX_LOG * weight > cfg.rel_tol:
+        weight = reach = math.inf
+    bound = (len(factors) + 7) * sys.float_info.epsilon * _MAX_LOG * weight
+    if bound > cfg.rel_tol or reach > sys.float_info.max:
         return CheckReport("unstable", cfg.trials, 0, 0.0, cfg.trials)
     # imported here so that the symbolic core and the CLI start without numpy
     import numpy as np

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ONE, PI, ExactExponent, _of
@@ -34,13 +33,14 @@ from .model import InvalidIndexError, StringProduct, normalize
 __all__ = ["ParseError", "parse_product", "parse_identity", "render", "render_identity"]
 
 
-@dataclass(frozen=True)
 class ParseError(ValueError):
     """Syntax error with the character offset and what was expected there."""
 
-    position: int
-    expected: str
-    found: str
+    def __init__(self, position: int, expected: str, found: str):
+        super().__init__(position, expected, found)
+        self.position = position
+        self.expected = expected
+        self.found = found
 
     def __str__(self) -> str:
         return f"parse error at position {self.position}: expected {self.expected}, found {self.found}"
@@ -79,8 +79,8 @@ class _Parser:
         tok = self.tokens[at]
         if not tok:
             found = "end of input"
-        elif tok.isdigit() and 0 < sys.get_int_max_str_digits() < len(tok):
-            found = f"{len(tok)} digits"
+        elif 0 < sys.get_int_max_str_digits() < len(tok):  # a digit or letter run
+            found = f"{len(tok)} {'digits' if tok.isdigit() else 'letters'}"
         else:
             found = f"'{tok}'"
         return ParseError(self.offset(at), expected, found)

@@ -10,6 +10,10 @@ import pytest
 from .support import run_cli
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 class TestCheck:
     def test_verified(self):
         code, out, _ = run_cli(["check", "a4*a3 = a6*a1"])
@@ -56,6 +60,18 @@ class TestCheck:
         assert code == 0 and doc["verdict"] == "verified"
         assert doc["numeric"] == {
             "verdict": "unstable", "trials": 10, "max_rel_error": 0.0, "skipped": 10
+        }
+
+    def test_index_beyond_float_range_prints_valid_json(self):
+        # (i-1)*ln r overflows before the tiny exponent scales it; the
+        # report must not carry a NaN, which RFC 8259 JSON cannot hold
+        term = f"a{17 * 10**307}^(1/{10**308})"
+        argv = ["--format", "json", "check", f"{term} = {term}", "--trials", "100"]
+        code, out, _ = run_cli(argv)
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0 and doc["verdict"] == "verified"
+        assert doc["numeric"] == {
+            "verdict": "unstable", "trials": 100, "max_rel_error": 0.0, "skipped": 100
         }
 
     def test_ten_million_trials_in_constant_memory(self):
@@ -341,6 +357,10 @@ class TestContract:
 _USAGE_CANON = "usage: geomprod canon [-h] product\n"
 _TERM = "a term like 'a3' (or the literal '1')"
 _DIGITS = "9" * 5000
+_LETTERS = "b" * 5000
+# an index past the float range under a tiny exponent
+_FAR = f"a{17 * 10**307}^(1/{10**308})"
+_FAR_SIG = f'{{"total": "1/{10**308}", "weighted_sum": "17/10"}}'
 _GOLDEN = [
     (["check", "a4*a3 = a6*a1"], 0, "verified: T=2, S=7 on both sides\n", ""),
     (
@@ -520,6 +540,46 @@ _GOLDEN = [
         '{"error": {"position": 3, "expected": "end of input", "found": "5000 digits"}}\n',
         "geomprod: parse error at position 3: expected end of input, found 5000 digits\n",
     ),
+    # and so is a letter run
+    (
+        ["canon", "a3 " + _LETTERS],
+        2,
+        "",
+        "geomprod: parse error at position 3: expected end of input, found 5000 letters\n",
+    ),
+    (
+        ["--format", "json", "canon", "a3 " + _LETTERS],
+        2,
+        '{"error": {"position": 3, "expected": "end of input", "found": "5000 letters"}}\n',
+        "geomprod: parse error at position 3: expected end of input, found 5000 letters\n",
+    ),
+    (
+        ["canon", f"a3^({_LETTERS})"],
+        2,
+        "",
+        "geomprod: parse error at position 4: expected 'pi' or a rational, found 5000 letters\n",
+    ),
+    (
+        ["--format", "json", "canon", f"a3^({_LETTERS})"],
+        2,
+        '{"error": {"position": 4, "expected": "\'pi\' or a rational", "found": "5000 letters"}}\n',
+        "geomprod: parse error at position 4: expected 'pi' or a rational, found 5000 letters\n",
+    ),
+    # an index past the float range is "unstable", not a NaN "fail"
+    (
+        ["check", f"{_FAR} = {_FAR}", "--trials", "100"],
+        0,
+        f"verified: T=1/{10**308}, S=17/10 on both sides\n"
+        "numeric: unstable (trials=100, max_rel_error=0, skipped=100)\n",
+        "",
+    ),
+    (
+        ["--format", "json", "check", f"{_FAR} = {_FAR}", "--trials", "100"],
+        0,
+        f'{{"verdict": "verified", "lhs_signature": {_FAR_SIG}, "rhs_signature": {_FAR_SIG}, '
+        '"numeric": {"verdict": "unstable", "trials": 100, "max_rel_error": 0.0, "skipped": 100}}\n',
+        "",
+    ),
     (
         ["canon"],
         2,
@@ -535,8 +595,11 @@ _GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, code, out, err", _GOLDEN, ids=[" ".join(g[0]).replace(_DIGITS, "9*5000") for g in _GOLDEN]
-)
+def _golden_id(argv: list[str]) -> str:
+    text = " ".join(argv).replace(_DIGITS, "9*5000").replace(_LETTERS, "b*5000")
+    return text.replace(_FAR, "a17e307^(1/1e308)")
+
+
+@pytest.mark.parametrize("argv, code, out, err", _GOLDEN, ids=[_golden_id(g[0]) for g in _GOLDEN])
 def test_golden_output(argv, code, out, err):
     assert run_cli(argv) == (code, out, err)

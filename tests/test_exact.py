@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomprod import ExactExponent, Rational, as_rational, normalize, signature
+from geomprod import ExactExponent, as_rational, normalize, signature
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 exponents = st.builds(ExactExponent, rationals, rationals)
@@ -16,34 +16,34 @@ exponents = st.builds(ExactExponent, rationals, rationals)
 
 class TestRational:
     def test_reduced_on_construction(self):
-        assert Rational(2, 4) == Rational(1, 2)
-        assert Rational(2, 4).numerator == 1
-        assert Rational(2, 4).denominator == 2
+        assert Fraction(2, 4) == Fraction(1, 2)
+        assert Fraction(2, 4).numerator == 1
+        assert Fraction(2, 4).denominator == 2
 
     def test_denominator_always_positive(self):
-        q = Rational(1, -2)
+        q = Fraction(1, -2)
         assert q.numerator == -1
         assert q.denominator == 2
 
     def test_zero_is_unique(self):
-        assert Rational(0, 7) == Rational(0)
-        assert Rational(0, 7).denominator == 1
+        assert Fraction(0, 7) == Fraction(0)
+        assert Fraction(0, 7).denominator == 1
 
     def test_arithmetic(self):
-        assert Rational(1, 2) + Rational(1, 3) == Rational(5, 6)
-        assert Rational(3, 2) - 1 == Rational(1, 2)
-        assert Rational(2, 3) * Rational(3, 4) == Rational(1, 2)
-        assert Rational(1, 2) / Rational(1, 4) == 2
+        assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+        assert Fraction(3, 2) - 1 == Fraction(1, 2)
+        assert Fraction(2, 3) * Fraction(3, 4) == Fraction(1, 2)
+        assert Fraction(1, 2) / Fraction(1, 4) == 2
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            Rational(1, 2) / Rational(0)
+            Fraction(1, 2) / Fraction(0)
 
     def test_text_form(self):
-        assert str(Rational(1, 2)) == "1/2"
-        assert str(Rational(5)) == "5"
-        assert str(Rational(-1, 2)) == "-1/2"
-        assert Rational("3/2") == Rational(3, 2)
+        assert str(Fraction(1, 2)) == "1/2"
+        assert str(Fraction(5)) == "5"
+        assert str(Fraction(-1, 2)) == "-1/2"
+        assert Fraction("3/2") == Fraction(3, 2)
 
     @given(rationals, rationals, rationals)
     def test_add_mul_associative_commutative(self, a, b, c):
@@ -77,7 +77,6 @@ class TestExactExponent:
         assert ExactExponent(1, 2).scale(Fraction(3, 2)) == ExactExponent(
             Fraction(3, 2), 3
         )
-        assert 2 * ExactExponent(1, 1) == ExactExponent(2, 2)
 
     def test_to_real(self):
         assert ExactExponent(0, 0).to_real() == 0.0
@@ -157,7 +156,7 @@ class TestExactExponentContract:
 
     @given(exponents, exponents, rationals)
     def test_results_have_fraction_fields(self, a, b, c):
-        results = [a + b, a - b, -a, a.scale(c), a.scale(int(c)), 2 * a, a * c]
+        results = [a + b, a - b, -a, a.scale(c), a.scale(int(c))]
         sig = signature(normalize([(3, a), (5, b)]))
         results += [sig.total, sig.weighted_sum]
         for x in results:

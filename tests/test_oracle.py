@@ -162,6 +162,21 @@ class TestLogDomain:
         assert report.verdict == "unstable"
         assert report.skipped == 1000
 
+    def test_index_beyond_float_range_is_unstable(self):
+        # the exponent keeps the rounding bound small, but (i-1)*ln r
+        # overflows before it is scaled; the last index that stays in range
+        # is still sampled, without a NaN
+        cfg = OracleConfig(trials=100, seed=0)
+        tiny = f"^(1/{10**308})"
+        far = f"a{17 * 10**307}{tiny}"
+        assert numeric_check(parse_identity(f"{far} = {far}"), cfg) == CheckReport(
+            "unstable", 100, 0, 0.0, 100
+        )
+        edge = f"a{int(sys.float_info.max / _MAX_LOG)}{tiny}"
+        assert numeric_check(parse_identity(f"{edge} = {edge}"), cfg) == CheckReport(
+            "pass", 100, 100, 0.0, 0
+        )
+
 
 def reference_numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     """The whole-array evaluation: every trial's draws and terms at once."""

@@ -177,10 +177,11 @@ class TestParseErrors:
         assert err.found == "5000 digits"
 
     def test_run_within_the_limit_is_quoted(self):
-        run = "9" * sys.get_int_max_str_digits()
-        with pytest.raises(ParseError) as info:
-            parse_product("a3 " + run)
-        assert (info.value.position, info.value.found) == (3, f"'{run}'")
+        for char in "9b":
+            run = char * sys.get_int_max_str_digits()
+            with pytest.raises(ParseError) as info:
+                parse_product("a3 " + run)
+            assert (info.value.position, info.value.found) == (3, f"'{run}'")
 
     def test_index_error_names_its_position(self):
         with pytest.raises(InvalidIndexError, match=r"got 0 \(at position 6\)"):
