@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Each subcommand handler returns ``(exit code, text lines, JSON payload, LaTeX
-lines)`` and prints nothing; :func:`main` applies ``--quiet`` and prints the
-one output ``--format`` picks.  Usage, parse and domain errors all leave
+:func:`main` reads ``--format`` and ``--quiet`` first, wherever argv gives
+them, and everything after uses those two values.  Each subcommand handler
+returns ``(exit code, text lines, JSON payload, LaTeX lines)`` and prints
+nothing, and so does ``--help``; :func:`main` applies ``--quiet`` and prints
+the one output ``--format`` picks.  Usage, parse and domain errors all leave
 through :func:`_error`.
 
 Exit codes: 0 for success (including a verified identity and feasible-but-
@@ -48,40 +50,34 @@ class _UsageError(Exception):
     """An argparse error; ``args`` is (the parser that failed, the message)."""
 
 
+class _HelpRequested(Exception):
+    """``-h``/``--help``; ``args`` is (the parser whose help was asked for,)."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Hands usage errors to :func:`main` instead of exiting; subparsers inherit this."""
+    """Hands usage errors and help to :func:`main` instead of printing and exiting."""
 
     def error(self, message: str):
         raise _UsageError(self, message)
 
-
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    default = argparse.SUPPRESS if suppress else "text"
-    parser.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=default,
-        help="output format" if not suppress else argparse.SUPPRESS,
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="suppress stdout, keep exit codes" if not suppress else argparse.SUPPRESS,
-    )
+    def print_help(self, file=None):
+        raise _HelpRequested(self)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The output-flags parser, read first over all of argv, and the command parser."""
+    flags = _ArgumentParser(add_help=False)
+    flags.add_argument("--format", choices=_FORMATS, default="text", help="output format")
+    flags.add_argument("--quiet", action="store_true", help="suppress stdout, keep exit codes")
     parser = _ArgumentParser(
         prog="geomprod",
         description="Exact identities for products of geometric-sequence terms.",
+        parents=[flags],
     )
-    _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, suppress=True)
         p.set_defaults(run=run)
         return p
 
@@ -119,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True, help="common ratio (positive)")
     p.add_argument("--max-index", type=int, default=None, help="sequence length (default: inferred)")
 
-    return parser
+    return flags, parser
 
 
 def _numeric_line(report: CheckReport) -> str:
@@ -220,17 +216,6 @@ def _cmd_eval(args) -> _Result:
     return 0, [repr(value)], {"value": value}, [repr(value)]
 
 
-def _output_flags(argv: list[str] | None) -> tuple[str, bool]:
-    """``--format`` and ``--quiet`` wherever argv gives them, for a usage error."""
-    flags = _ArgumentParser(add_help=False)
-    _add_common(flags, suppress=False)
-    try:
-        known, _ = flags.parse_known_args(argv)
-    except _UsageError:  # e.g. --format xml
-        return "text", False
-    return known.format, known.quiet
-
-
 def _error(fmt: str, quiet: bool, diagnostic: str, payload: dict) -> int:
     """The one error path: ``diagnostic`` to stderr, ``{"error": payload}`` under json."""
     sys.stderr.write(diagnostic)
@@ -240,28 +225,35 @@ def _error(fmt: str, quiet: bool, diagnostic: str, payload: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    flags, parser = _build_parsers()
+    fmt, quiet = "text", False
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help
-        return exc.code if isinstance(exc.code, int) else 2
+        known, rest = flags.parse_known_args(argv)
+        fmt, quiet = known.format, known.quiet
+        args = parser.parse_args(rest)
+        code, lines, payload, latex = args.run(args)
+    except _HelpRequested as exc:
+        text = exc.args[0].format_help()
+        lines = [text.removesuffix("\n")]  # print() adds the newline back
+        code, payload, latex = 0, {"help": text}, lines
     except _UsageError as exc:
         failed, message = exc.args
+        if failed is flags:  # e.g. --format xml, reported under the root usage
+            failed = parser
         # stderr as argparse writes it
         usage = f"{failed.format_usage()}{failed.prog}: error: {message}\n"
-        return _error(*_output_flags(argv), usage, {"message": message})
-    try:
-        code, lines, payload, latex = args.run(args)
+        return _error(fmt, quiet, usage, {"message": message})
     except ParseError as exc:
         where = {"position": exc.position, "expected": exc.expected, "found": exc.found}
-        return _error(args.format, args.quiet, f"geomprod: {exc}\n", where)
+        return _error(fmt, quiet, f"geomprod: {exc}\n", where)
     except (OverflowError, ValueError) as exc:
-        return _error(args.format, args.quiet, f"geomprod: {exc}\n", {"message": str(exc)})
-    if args.quiet:
+        return _error(fmt, quiet, f"geomprod: {exc}\n", {"message": str(exc)})
+    if quiet:
         return code
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(payload))
     else:
-        for line in latex if args.format == "latex" else lines:
+        for line in latex if fmt == "latex" else lines:
             print(line)
     return code
 

@@ -85,16 +85,6 @@ class FamilyQuery:
         if self.max_index < 1:
             raise ValueError(f"max index must be >= 1, got {self.max_index}")
 
-    def feasible(self) -> bool:
-        if self.repetition:
-            lo, hi = self.t, self.t * self.max_index
-        else:
-            if self.t > self.max_index:
-                return False
-            lo = self.t * (self.t + 1) // 2
-            hi = self.t * self.max_index - self.t * (self.t - 1) // 2
-        return lo <= self.subscript_sum <= hi
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -140,11 +130,9 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
     yields the empty list.  Every member converted to a product has
     signature exactly ``(t, subscript_sum)``.
     """
-    if not query.feasible():
-        return []
     t, l, rep = query.t, query.max_index, query.repetition
     if t == 1:
-        return [(query.subscript_sum,)]
+        return [(query.subscript_sum,)] if query.subscript_sum <= l else []
 
     def candidates(min_value: int, slots: int, remaining: int) -> range:
         # Values v for the first of ``slots`` slots that leave the other

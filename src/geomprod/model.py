@@ -124,7 +124,6 @@ class StringProduct:
         }
 
 
-EMPTY = StringProduct()
 _ZERO = Fraction(0)
 
 

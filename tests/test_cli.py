@@ -329,6 +329,33 @@ class TestContract:
             assert err.endswith(f"error: {doc['error']['message']}\n")
         assert run_cli(["--format", "json", "--quiet"] + argv) == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "argv, json_argv",
+        [
+            (["--help"], ["--format", "json", "--help"]),
+            (["check", "--help"], ["check", "--help", "--format", "json"]),
+        ],
+    )
+    def test_help_follows_output_flags(self, argv, json_argv):
+        code, text, err = run_cli(argv)
+        assert (code, err) == (0, "") and text.startswith("usage: geomprod")
+        code, out, err = run_cli(json_argv)
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert list(doc) == ["help"] and doc["help"] == text
+        assert run_cli(["--quiet"] + argv) == (0, "", "")
+
+    def test_bad_format_after_subcommand_is_reported_first(self):
+        code, out, err = run_cli(["canon", "a4", "--format", "xml"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: geomprod [-h]")
+        assert "\ngeomprod: error: argument --format: invalid choice: 'xml'" in err
+
+    def test_double_dash_before_positional(self):
+        assert run_cli(["check", "--", "a4*a3 = a6*a1"]) == (
+            0, "verified: T=2, S=7 on both sides\n", ""
+        )
+
     def test_overlong_integer_json_fields(self):
         code, out, err = run_cli(["--format", "json", "canon", "a" + "9" * 5000])
         assert code == 2

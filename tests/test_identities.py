@@ -49,16 +49,14 @@ class TestEnumerateFamily:
     def test_infeasible_is_empty(self):
         assert enumerate_family(FamilyQuery(2, 1, 6)) == []
         assert enumerate_family(FamilyQuery(3, 100, 8)) == []
+        assert enumerate_family(FamilyQuery(3, 5, 8)) == []  # distinct minimum is 6
+        assert enumerate_family(FamilyQuery(1, 11, 10)) == []  # one term past max_index
+        assert enumerate_family(FamilyQuery(5, 15, 4)) == []  # more terms than indices
 
     def test_query_validation(self):
         for bad in [(0, 5, 6), (2, 0, 6), (2, 5, 0)]:
             with pytest.raises(ValueError):
                 FamilyQuery(*bad)
-
-    def test_feasibility_predicate(self):
-        assert FamilyQuery(3, 12, 8).feasible()
-        assert not FamilyQuery(3, 5, 8).feasible()  # distinct minimum is 6
-        assert FamilyQuery(3, 5, 8, repetition=True).feasible()
 
     def test_members_share_the_target_signature(self):
         query = FamilyQuery(3, 12, 8)
