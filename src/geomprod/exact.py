@@ -50,17 +50,20 @@ class ExactExponent:
         _set_rat(self, as_rational(self.rat))
         _set_pi(self, as_rational(self.pi))
 
+    # A zero component is added or subtracted without Fraction arithmetic:
+    # parsed exponents are mostly purely rational or purely pi, and a
+    # Fraction sum costs a gcd where returning the other operand costs none.
     def __add__(self, other: ExactExponent) -> ExactExponent:
         if not isinstance(other, ExactExponent):
             return NotImplemented
-        pi = other.pi
-        return _of(self.rat + other.rat, self.pi + pi if pi else self.pi)
+        a, b, p, q = self.rat, other.rat, self.pi, other.pi
+        return _of(a + b if a and b else a or b, p + q if p and q else p or q)
 
     def __sub__(self, other: ExactExponent) -> ExactExponent:
         if not isinstance(other, ExactExponent):
             return NotImplemented
-        pi = other.pi
-        return _of(self.rat - other.rat, self.pi - pi if pi else self.pi)
+        a, b, p, q = self.rat, other.rat, self.pi, other.pi
+        return _of((a - b if a else -b) if b else a, (p - q if p else -q) if q else p)
 
     def __neg__(self) -> ExactExponent:
         return _of(-self.rat, -self.pi)

@@ -247,16 +247,21 @@ def decompose(
 
     def open_slot(min_index: int, weight_left: int, sum_left: int) -> None:
         rest = parts - 1 - len(acc)
-        pairs = choices(min_index, rest, weight_left, sum_left)
-        if rest == 1:  # the last base and weight are forced
-            prefix = tuple(acc)
-            for b, w in pairs:
+        if rest > 1:
+            stack.append((choices(min_index, rest, weight_left, sum_left), weight_left, sum_left))
+            return
+        # The last base and weight are forced: with rem = sum_left - W*b for
+        # W = weight_left, the pair (b, w) leaves b_last = b + rem / (W - w),
+        # so it is kept iff W - w divides rem.  The ranges are those of
+        # choices() at rest = 1, spelled out without a pair per candidate.
+        prefix = tuple(acc)
+        slack = weight_left * l - sum_left
+        for b in range(max(min_index, l - slack), min(l - 1, (sum_left - 1) // weight_left) + 1):
+            rem = sum_left - weight_left * b
+            for w in range(max(1, weight_left - rem), min(weight_left - 1, slack // (l - b)) + 1):
                 w_last = weight_left - w
-                b_last, r = divmod(sum_left - w * b, w_last)
-                if r == 0:
-                    out.append(Decomposition(prefix + ((b, w), (b_last, w_last))))
-        else:
-            stack.append((pairs, weight_left, sum_left))
+                if rem % w_last == 0:
+                    out.append(Decomposition(prefix + ((b, w), (b + rem // w_last, w_last))))
 
     open_slot(1, t, subscript_sum)
     while stack:

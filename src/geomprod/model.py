@@ -159,10 +159,30 @@ def normalize(raw_factors: Iterable[tuple[int, ExponentLike]]) -> StringProduct:
             merged[index] = merged[index] + exp
         else:
             merged[index] = exp
-    factors = tuple(
-        Factor(index, exp) for index, exp in sorted(merged.items()) if not exp.is_zero()
+    # indices are checked above and come out sorted and distinct, and zero
+    # exponents are dropped here: the public constructors' checks would pass
+    return _product(
+        tuple(_factor(index, exp) for index, exp in sorted(merged.items()) if exp.rat or exp.pi)
     )
-    return StringProduct(factors)
+
+
+_new = object.__new__
+
+
+def _factor(index: int, exponent: ExactExponent) -> Factor:
+    """The package's constructor for a validated index and nonzero exponent."""
+    f = _new(Factor)
+    fields = f.__dict__
+    fields["index"] = index
+    fields["exponent"] = exponent
+    return f
+
+
+def _product(factors: tuple[Factor, ...]) -> StringProduct:
+    """The package's constructor for factors already sorted by strictly ascending index."""
+    p = _new(StringProduct)
+    p.__dict__["factors"] = factors
+    return p
 
 
 def signature(p: StringProduct) -> Signature:

@@ -108,11 +108,16 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     Either way each trial sees the ``a1`` and ``r`` that drawing all of ``a1``
     and then all of ``r`` as whole arrays would give it, and every element goes
     through the same operations in the same order, so the report does not
-    depend on the block size.
+    depend on the block size.  A block of fewer than ``_BLOCK // 2`` trials
+    computes its terms in a fifth buffer, 2-D tiles of at most ``_BLOCK``
+    elements, but still adds them one by one in factor order.
     """
     factors = ident.lhs.factors + ident.rhs.factors
     try:
-        weight = sum((abs(f.exponent.rat) + abs(f.exponent.pi) * math.pi) * f.index for f in factors)
+        # float() rounds a Fraction correctly, so abs(float(q)) == float(abs(q)):
+        # one conversion per component serves the bound and the coefficients
+        parts = [(float(f.exponent.rat), float(f.exponent.pi)) for f in factors]
+        weight = sum((abs(q) + abs(p) * math.pi) * f.index for (q, p), f in zip(parts, factors))
         reach = _MAX_LOG * max(ident.lhs.max_index(), ident.rhs.max_index())
     except OverflowError:
         weight = reach = math.inf
@@ -122,11 +127,11 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     # imported here so that the symbolic core and the CLI start without numpy
     import numpy as np
 
-    terms = [
-        (sign * f.exponent.to_real(), f.index - 1)
-        for side, sign in ((ident.lhs, 1), (ident.rhs, -1))
-        for f in side.factors
-    ]
+    # ExactExponent.to_real of each exponent, rhs negated
+    coeffs = [q + p * math.pi if f.exponent.pi else q for (q, p), f in zip(parts, factors)]
+    n_lhs = len(ident.lhs.factors)
+    coeffs[n_lhs:] = [-c for c in coeffs[n_lhs:]]
+    steps = [f.index - 1 for f in factors]
     rng = rng_r = np.random.default_rng(cfg.seed)
     if cfg.trials > _BLOCK:
         rng_r = np.random.default_rng(cfg.seed)
@@ -139,11 +144,28 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
         np.log(rng.uniform(A1_RANGE[0], A1_RANGE[1], n), a)
         np.log(rng_r.uniform(R_RANGE[0], R_RANGE[1], n), r)
         d.fill(0.0)
-        for coeff, k in terms:
-            np.multiply(k, r, t)
-            np.add(a, t, t)
-            np.multiply(coeff, t, t)
-            np.add(d, t, d)
+        if n < _BLOCK // 2:
+            # Per-call ufunc cost outweighs a short block's work, so its
+            # terms go in 2-D tiles of _BLOCK // n rows: three broadcast
+            # ufuncs per tile, then one addition per row in term order.
+            # np.add.reduce over a tile would sum each column pairwise.
+            rows = _BLOCK // n
+            tile = np.empty((min(rows, len(factors)), n))
+            ks = np.array(steps, dtype=float)[:, None]
+            cs = np.array(coeffs)[:, None]
+            for j in range(0, len(factors), rows):
+                tt = tile[: len(factors) - j]
+                np.multiply(ks[j : j + rows], r, tt)
+                np.add(a, tt, tt)
+                np.multiply(cs[j : j + rows], tt, tt)
+                for row in tt:
+                    np.add(d, row, d)
+        else:
+            for coeff, k in zip(coeffs, steps):
+                np.multiply(k, r, t)
+                np.add(a, t, t)
+                np.multiply(coeff, t, t)
+                np.add(d, t, d)
         np.abs(d, d)
         np.negative(d, d)
         np.expm1(d, d)

@@ -114,8 +114,9 @@ class _Parser:
             den = self.integer("a denominator")
             if den == 0:
                 raise ParseError(self.offset(self.at - 1), "a nonzero denominator", "'0'")
-        value = Fraction(num) if den == 1 else Fraction(num, den)
-        return -value if negative else value
+        if negative:
+            num = -num
+        return Fraction(num) if den == 1 else Fraction(num, den)
 
     def exp_atom(self) -> ExactExponent:
         tok = self.tokens[self.at]
@@ -230,7 +231,9 @@ def render(p: StringProduct, style: str = "text") -> str:
     if p.is_empty():
         return "1"
     return joiner.join(
-        term.format(f.index) if f.exponent == ONE else powered.format(f.index, exponent(f.exponent))
+        term.format(f.index)
+        if not (e := f.exponent).pi and e.rat == 1
+        else powered.format(f.index, exponent(e))
         for f in p.factors
     )
 

@@ -97,6 +97,28 @@ class TestExactExponent:
         e = ExactExponent(Fraction(3, 2), Fraction(-7, 3))
         assert e.to_json_dict() == {"rat": "3/2", "pi": "-7/3"}
 
+    # A component that is zero in either operand is added or subtracted
+    # without Fraction arithmetic; each sum and difference must still be the
+    # componentwise one, with Fraction fields.
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (ExactExponent(0, 0), ExactExponent(Fraction(3, 4), Fraction(-5, 2))),
+            (ExactExponent(Fraction(3, 4), 0), ExactExponent(0, Fraction(-5, 2))),
+            (ExactExponent(Fraction(3, 4), 0), ExactExponent(Fraction(-1, 4), 0)),
+            (ExactExponent(0, Fraction(-5, 2)), ExactExponent(0, Fraction(5, 2))),
+            (ExactExponent(Fraction(3, 4), Fraction(-5, 2)), ExactExponent(2, 0)),
+            (ExactExponent(Fraction(3, 4), Fraction(-5, 2)), ExactExponent(0, -1)),
+            (ExactExponent(0, 0), ExactExponent(0, 0)),
+        ],
+    )
+    def test_zero_components(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            for got, rat, pi in ((x + y, x.rat + y.rat, x.pi + y.pi), (x - y, x.rat - y.rat, x.pi - y.pi)):
+                assert (got.rat, got.pi) == (rat, pi)
+                assert type(got.rat) is Fraction and type(got.pi) is Fraction
+                assert got == ExactExponent(rat, pi) and hash(got) == hash(ExactExponent(rat, pi))
+
     @given(exponents, exponents)
     def test_abelian_group(self, a, b):
         assert a + b == b + a

@@ -96,6 +96,20 @@ class TestNormalize:
         again = normalize((f.index, f.exponent) for f in once.factors)
         assert once == again
 
+    # normalize builds its result without the public constructors' checks
+    @given(raw_pairs)
+    def test_equals_public_construction(self, pairs):
+        merged = {}
+        for index, exp in pairs:
+            merged[index] = merged.get(index, ExactExponent()) + ExactExponent(exp)
+        public = StringProduct(
+            tuple(Factor(i, e) for i, e in sorted(merged.items()) if not e.is_zero())
+        )
+        p = normalize(pairs)
+        assert p == public and hash(p) == hash(public) and repr(p) == repr(public)
+        for f, g in zip(p.factors, public.factors):
+            assert f == g and hash(f) == hash(g)
+
     def test_direct_construction_rejects_unsorted(self):
         f3, f4 = Factor(3, ExactExponent(1)), Factor(4, ExactExponent(1))
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from geomprod import (
 )
 from geomprod.oracle import _BLOCK, _MAX_LOG, A1_RANGE, R_RANGE
 
-from .support import equivalent_variant, random_product, same_total_variant
+from .support import equivalent_variant, random_exponent, random_product, same_total_variant
 
 
 class TestOracleConfig:
@@ -205,9 +205,18 @@ def reference_numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
 class TestBlockedSampling:
     """Blocks of ``_BLOCK`` trials give the whole-array report bit for bit."""
 
-    @pytest.mark.parametrize("trials", [1, 100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    # Blocks under _BLOCK // 2 trials go in tiles of _BLOCK // n terms: with
+    # 45 factors on its left, `many` spans over 22 tiles at _BLOCK // 2 - 1
+    # trials and over 2 at 1000; _BLOCK + 1 trials leave a one-trial block.
+    @pytest.mark.parametrize(
+        "trials",
+        [1, 100, 1000, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7],
+    )
     def test_reports_equal_whole_array_evaluation(self, trials):
+        many_rng = random.Random(f"many {trials}")
+        many = normalize([(i, random_exponent(many_rng)) for i in range(1, 46)])
         idents = [
+            Identity(many, equivalent_variant(many_rng, many, steps=4)),
             parse_identity("a2*a8 = a5^2"),
             parse_identity("a3*a4 = a5*a1"),
             parse_identity("a3^(6pi) * a6^6 = a2^(5pi+2) * a8^(pi+4)"),

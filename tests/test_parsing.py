@@ -46,6 +46,23 @@ class TestParse:
         assert parse_product("a2^(-pi)") == normalize([(2, ExactExponent(0, -1))])
         assert parse_product("a2^(2-pi)") == normalize([(2, ExactExponent(2, -1))])
 
+    # exponent sums that repeat or cancel a component
+    @pytest.mark.parametrize(
+        "text, pairs",
+        [
+            ("a2^(1+2)", [(2, 3)]),
+            ("a2^(pi+2pi)", [(2, ExactExponent(0, 3))]),
+            ("a2^(1/2-1/2)", []),
+            ("a2^(-1/2+1/2pi-pi)", [(2, ExactExponent(Fraction(-1, 2), Fraction(-1, 2)))]),
+            ("a2^(-pi - -pi)", []),
+        ],
+    )
+    def test_exponent_sums(self, text, pairs):
+        p = parse_product(text)
+        assert p == normalize(pairs)
+        for f in p.factors:
+            assert type(f.exponent.rat) is Fraction and type(f.exponent.pi) is Fraction
+
     def test_unparenthesized_rational_exponent(self):
         assert parse_product("a4^-1") == normalize([(4, -1)])
         assert parse_product("a4^3/2") == normalize([(4, Fraction(3, 2))])
