@@ -9,8 +9,10 @@ through :func:`_error`.
 
 Exit codes: 0 for success (including a verified identity and feasible-but-
 empty listings), 1 for a refuted identity, 2 for usage, parse or domain
-errors.  ``--format json`` emits one JSON document on stdout on every code
-path, errors included; diagnostics go to stderr.
+errors and for any other exception, which is reported as an internal error
+(``{"error": {"kind", "message"}}`` under json).  ``--format json`` emits
+one JSON document on stdout on every code path, errors included;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -248,6 +250,10 @@ def main(argv: list[str] | None = None) -> int:
         return _error(fmt, quiet, f"geomprod: {exc}\n", where)
     except (OverflowError, ValueError) as exc:
         return _error(fmt, quiet, f"geomprod: {exc}\n", {"message": str(exc)})
+    except Exception as exc:  # a fault in geomprod: exit 2, never 1 ("refuted")
+        kind = type(exc).__name__
+        diagnostic = f"geomprod: internal error: {kind}: {exc}\n"
+        return _error(fmt, quiet, diagnostic, {"kind": kind, "message": str(exc)})
     if quiet:
         return code
     if fmt == "json":

@@ -17,6 +17,7 @@ package builds on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -246,12 +247,19 @@ def power(p: StringProduct, c: RationalLike) -> StringProduct:
     return normalize((f.index, f.exponent.scale(c)) for f in p.factors)
 
 
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_FLOAT_MAX = sys.float_info.max
+
+
 def evaluate(p: StringProduct, seq: SequenceSpec) -> float:
     """Evaluate ``p`` on a concrete sequence via ``a1**T * r**(S-T)``.
 
     Requires every factor index <= ``seq.l`` (:class:`IndexRangeError`
-    otherwise) and positive ``a1``, ``r``.  A non-finite or underflowed
-    result raises :class:`OverflowError`.
+    otherwise) and positive ``a1``, ``r``.  When either power is not a
+    normal float (it overflows, or underflows to zero or to a subnormal that
+    has lost precision) or their product is not finite and positive, the
+    value is taken as ``exp(T*ln a1 + (S-T)*ln r)`` instead; a result that
+    is still not finite and positive raises :class:`OverflowError`.
     """
     for f in p.factors:
         if f.index > seq.l:
@@ -264,9 +272,21 @@ def evaluate(p: StringProduct, seq: SequenceSpec) -> float:
     total = sig.total.to_real()
     ratio_power = (sig.weighted_sum - sig.total).to_real()
     try:
-        value = (seq.a1 ** total) * (seq.r ** ratio_power)
+        base_power = seq.a1 ** total
+        ratio_factor = seq.r ** ratio_power
+    except OverflowError:
+        base_power = ratio_factor = math.inf
+    if (
+        _FLOAT_MIN <= base_power <= _FLOAT_MAX
+        and _FLOAT_MIN <= ratio_factor <= _FLOAT_MAX
+    ):
+        value = base_power * ratio_factor
+        if 0.0 < value < math.inf:
+            return value
+    try:
+        value = math.exp(total * math.log(seq.a1) + ratio_power * math.log(seq.r))
     except OverflowError:
         raise OverflowError("product overflowed during evaluation") from None
-    if not math.isfinite(value) or value <= 0.0:
+    if not 0.0 < value < math.inf:
         raise OverflowError("product evaluation left the finite positive range")
     return value

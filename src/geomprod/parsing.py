@@ -18,6 +18,18 @@ stands for the empty product so that canonical output re-parses.
 Parsed products are normalized.  Syntax problems raise :class:`ParseError`
 with the offending position; an index below 1 raises
 :class:`~geomprod.model.InvalidIndexError`.
+
+Reading runs in two stages.  A term scanner reads the text first, one
+compiled-regex match per term and the separator after it (``*``, ``=`` or
+the end).  It knows the spellings users and :func:`render` write: ``a3``,
+``a3^q``, ``a3^(q)``, ``a3^(q + p*pi)``, ``a3^(q - p*pi)`` and
+``a3^(-p*pi)``, where ``q`` is a signed rational, ``p`` an optional
+unsigned one, and the ``*`` before ``pi`` optional.  Whenever the
+scanner cannot finish (a text it does not match, such as any other
+exponent body, an index below 1, a zero denominator, a digit run too long
+for ``int()``, the literal ``1``, a missing or second ``=``) the whole text
+goes to the token parser, :class:`_Parser`, so rare forms and every error,
+with its position, expected and found text, come from that one place.
 """
 
 from __future__ import annotations
@@ -182,8 +194,93 @@ class _Parser:
             raise self.fail("end of input")
 
 
+# One term and the separator after it.  Every whitespace run is followed by
+# a character it cannot match, and no two runs touch (an optional sign is
+# "(?:(-)WS)?", never "(-?)WS"), so a failing match backtracks in linear
+# time without atomic groups.  Every digit run is followed by a non-digit
+# and "a" and "pi" by a non-letter, so the runs are the tokenizer's tokens.
+_WS = r"[ \t\r\n\v\f]*"
+_RAT = rf"([0-9]+)(?:{_WS}/{_WS}([0-9]+))?"  # an unsigned rational: 2 groups
+_COEF = rf"(?:{_RAT}{_WS}(?:\*{_WS})?)?"  # [p][*] before pi: 2 groups
+_TERM_RE = re.compile(
+    rf"""{_WS}a{_WS}([0-9]+){_WS}
+    (?:\^{_WS}(?:
+        (?:(-){_WS})?{_RAT}                                 # ^q
+      | \({_WS}(?:(-){_WS})?{_RAT}{_WS}(?:([+-]){_WS}{_COEF}pi{_WS})?\)  # ^(q ± [p][*]pi)
+      | \({_WS}(?:(-){_WS})?{_COEF}(pi){_WS}\)               # ^([-][p][*]pi)
+    ){_WS})?
+    (\*|=|\Z)""",
+    re.VERBOSE,
+)
+
+
+def _rational(minus: str | None, num: str, den: str | None) -> Fraction:
+    """The Fraction _Parser.signed_rational builds from the same digits.
+
+    Raises ValueError for a digit run int() refuses and ZeroDivisionError
+    for a zero denominator; the caller then leaves the text to _Parser.
+    """
+    value = -int(num) if minus else int(num)
+    if den is None:
+        return Fraction(value)
+    den = int(den)
+    return Fraction(value) if den == 1 else Fraction(value, den)
+
+
+def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None:
+    """The (index, exponent) pairs of ``sides`` products joined by "=".
+
+    None when the text needs _Parser: it alone reads rare forms in full and
+    raises every error.
+    """
+    out = []
+    pairs: list[tuple[int, ExactExponent]] = []
+    pos = 0
+    match = _TERM_RE.match
+    try:
+        while True:
+            m = match(text, pos)
+            if m is None:
+                return None
+            (index, q_minus, q, q_den, b_minus, b, b_den, op, p, p_den,
+             c_minus, c, c_den, c_pi, sep) = m.groups()
+            index = int(index)
+            if index < 1:
+                return None
+            if q is not None:
+                exp = _of(_rational(q_minus, q, q_den), _ZERO)
+            elif b is not None:
+                exp = _of(_rational(b_minus, b, b_den), _ZERO)
+                if op:
+                    pi = PI if p is None else _of(_ZERO, _rational(None, p, p_den))
+                    exp = exp + pi if op == "+" else exp - pi
+            elif c_pi:
+                if c is not None:
+                    exp = _of(_ZERO, _rational(c_minus, c, c_den))
+                else:
+                    exp = _NEG_PI if c_minus else PI
+            else:
+                exp = ONE
+            pairs.append((index, exp))
+            if sep == "*":
+                pos = m.end()
+                continue
+            out.append(pairs)
+            if len(out) == sides:
+                return None if sep else out  # sep: a second "=", or one in a product
+            if not sep:
+                return None  # the text ends before its "="
+            pairs = []
+            pos = m.end()
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def parse_product(text: str) -> StringProduct:
     """Parse one product; the result is normalized."""
+    scanned = _scan(text, 1)
+    if scanned is not None:
+        return normalize(scanned[0])
     parser = _Parser(text)
     pairs = parser.product()
     parser.end()
@@ -192,6 +289,9 @@ def parse_product(text: str) -> StringProduct:
 
 def parse_identity(text: str) -> Identity:
     """Parse ``<product> = <product>``; both sides come back normalized."""
+    scanned = _scan(text, 2)
+    if scanned is not None:
+        return Identity(normalize(scanned[0]), normalize(scanned[1]))
     parser = _Parser(text)
     lhs = parser.product()
     parser.expect("=")

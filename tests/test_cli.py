@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+
+from geomprod import cli
 
 from .support import run_cli
 
@@ -257,6 +260,30 @@ class TestEval:
         code, out, _ = run_cli(["--format", "json", "eval", "a3*a4", "--a1", "1", "--r", "2"])
         assert json.loads(out) == {"value": 32.0}
 
+    # One power underflows, goes subnormal or overflows although the product
+    # is in range; the exact value is a1^2 * r^997.
+    @pytest.mark.parametrize(
+        "a1, r, exact",
+        [
+            ("1e-200", "2", Fraction(2**997, 10**400)),
+            ("1e-160", "2", Fraction(2**997, 10**320)),
+            ("1e200", "0.5", Fraction(10**400, 2**997)),
+        ],
+        ids=["underflow", "subnormal", "overflow"],
+    )
+    def test_intermediate_out_of_range(self, a1, r, exact):
+        code, out, err = run_cli(["eval", "a500*a499", "--a1", a1, "--r", r])
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a1, message",
+        [("1e-200", "left the finite positive range"), ("1e200", "product overflowed")],
+    )
+    def test_value_out_of_range_exits_2(self, a1, message):
+        code, _, err = run_cli(["eval", "a1^1000", "--a1", a1, "--r", "2"])
+        assert code == 2 and message in err
+
     def test_explicit_short_length_exits_2(self):
         code, _, err = run_cli(
             ["eval", "a3*a4", "--a1", "1", "--r", "2", "--max-index", "3"]
@@ -270,6 +297,23 @@ class TestContract:
         assert run_cli([])[0] == 2
         assert run_cli(["frobnicate"])[0] == 2
         assert run_cli(["family", "--t", "2"])[0] == 2
+
+    # A fault inside a handler is an internal error: exit 2, never 1
+    # ("refuted"), one diagnostic line and one JSON document.
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+    def test_internal_error_exits_2(self, monkeypatch, error):
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_check", broken)
+        kind = type(error).__name__
+        diagnostic = f"geomprod: internal error: {kind}: {error}\n"
+        assert run_cli(["check", "a3 = a3"]) == (2, "", diagnostic)
+        code, out, err = run_cli(["--format", "json", "check", "a3 = a3"])
+        assert (code, err) == (2, diagnostic)
+        assert json.loads(out) == {"error": {"kind": kind, "message": str(error)}}
+        assert out.count("\n") == 1
+        assert run_cli(["--quiet", "--format", "json", "check", "a3 = a3"]) == (2, "", diagnostic)
 
     def test_byte_identical_reruns(self):
         argv = ["check", "a2*a8 = a5^2", "--trials", "100", "--seed", "9"]

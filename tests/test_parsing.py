@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from geomprod import (
     render,
     render_identity,
 )
+from geomprod import parsing
 
 from .support import grammar_identity, grammar_product, random_product
 
@@ -285,3 +287,118 @@ class TestFuzz:
                 parse_identity(text)
             except (ParseError, InvalidIndexError):
                 pass
+
+
+def _parser_only(parse, text: str):
+    """What ``parse`` returns when _Parser alone reads the text."""
+    parser = parsing._Parser(text)
+    lhs = parser.product()
+    if parse is parse_product:
+        parser.end()
+        return normalize(lhs)
+    parser.expect("=")
+    rhs = parser.product()
+    parser.end()
+    return Identity(normalize(lhs), normalize(rhs))
+
+
+def _outcome(read, text: str):
+    try:
+        return "ok", repr(read(text))
+    except ParseError as exc:
+        return "ParseError", exc.position, exc.expected, exc.found
+    except InvalidIndexError as exc:
+        return "InvalidIndexError", exc.args
+
+
+def _edit(rng: random.Random, text: str) -> str:
+    """``text`` with 1 to 3 characters deleted, inserted or replaced."""
+    chars = list(text)
+    alphabet = "a0123456789 ^*()+-/=pi\t#\u0663"
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 1 / 3 and at < len(chars):
+            del chars[at]
+        elif roll < 2 / 3 or at == len(chars):
+            chars.insert(at, rng.choice(alphabet))
+        else:
+            chars[at] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+class TestTermScanner:
+    """The term scanner in front of _Parser changes no result and no error."""
+
+    def test_equals_parser_alone(self):
+        rng = random.Random(1111)
+        texts = [grammar_identity(rng) for _ in range(600)]
+        texts += [grammar_product(rng) for _ in range(600)]
+        texts += [_edit(rng, text) for text in texts]
+        texts += [render(random_product(rng)) for _ in range(300)]
+        texts += [render_identity(Identity(random_product(rng), random_product(rng))) for _ in range(300)]
+        # the rows of test_error_fields_pinned, read from its parametrize mark
+        (mark,) = TestParseErrors.test_error_fields_pinned.pytestmark
+        texts += [row[0] for row in mark.args[1]]
+        scanned = 0
+        for text in texts:
+            for parse, sides in ((parse_product, 1), (parse_identity, 2)):
+                scanned += parsing._scan(text, sides) is not None
+                expected = _outcome(lambda t: _parser_only(parse, t), text)
+                assert _outcome(parse, text) == expected, text
+        assert scanned > len(texts) // 3  # the comparison exercises the scanner, not only the fallback
+
+    def test_scanner_reads_every_render(self, monkeypatch):
+        def no_parser(text):
+            raise AssertionError(f"_Parser read {text!r}")
+
+        monkeypatch.setattr(parsing, "_Parser", no_parser)
+        rng = random.Random(1112)
+        for _ in range(1000):
+            p = random_product(rng, max_factors=6, max_index=300)
+            q = random_product(rng, max_factors=6, max_index=300)
+            if p.is_empty() or q.is_empty():  # "1" is left to _Parser
+                continue
+            assert parse_product(render(p)) == p
+            assert parse_identity(render_identity(Identity(p, q))) == Identity(p, q)
+        # and the other spellings the module docstring names
+        for text in ["a3^(-pi)", "a3^(pi)", "a3^(2pi)", "a3^( - 3 * pi )", "a3^-1/2", "a3^(1 + pi)"]:
+            parse_product(text)
+
+
+# Each text has at least 2*10^5 characters; a scanner that backtracks
+# quadratically over a whitespace run takes minutes on any of them, while
+# each one takes at most about a second on a 2-vCPU host.  The bound sits
+# between the two, with room for a slow or loaded runner.
+_RUN = " " * 200_000
+_BOUND_S = 30.0
+
+
+class TestLinearTime:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"a3{_RUN}^{_RUN}x",
+            f"a3^{_RUN}({_RUN}1{_RUN}x",
+            f"a3^({_RUN}1 / {_RUN})x",
+            f"a3^(1{_RUN}/{_RUN}2{_RUN}x",
+            f"a3^(1{_RUN}+{_RUN}pi{_RUN}x",
+            f"a3^(1{_RUN}-{_RUN}2{_RUN}*{_RUN}pi{_RUN}x",
+            f"a3^({_RUN}-{_RUN}pi{_RUN}x",
+            f"a3^({_RUN}2{_RUN}pi{_RUN})x",
+            f"a3^{_RUN}-{_RUN}1{_RUN}/{_RUN}2{_RUN}pi",
+            f"a{'7' * 4000}{_RUN}a",
+        ],
+        ids=["caret", "paren", "slash-close", "slash", "plus", "minus", "neg-pi", "pi-close", "bare", "index"],
+    )
+    def test_bad_text_fails_fast(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_product(text)
+        assert time.perf_counter() - start < _BOUND_S
+
+    def test_many_terms_parse_fast(self):
+        start = time.perf_counter()
+        p = parse_product("*".join(["a3^(1/2+pi)"] * 50_000))
+        assert time.perf_counter() - start < _BOUND_S
+        assert p == normalize([(3, ExactExponent(25_000, 50_000))])
