@@ -27,11 +27,23 @@ candidate instead of testing candidates one by one; the last slot is then
 forced.  A walk therefore costs in proportion to the rows it returns times
 ``t``, not to ``max_index``, and its output matches a brute-force filter.
 All listings come out in lexicographic order and are byte-reproducible.
+
+:func:`decompose` runs its walk with the cyclic garbage collector paused and
+restores the collector's previous state on the way out, even when the walk
+raises.  Each of its rows is a slotted :class:`Decomposition` holding a
+tuple of int pairs: it cannot be part of a reference cycle, yet the
+collector keeps it tracked, so every collection during the walk would rescan
+the rows listed so far for nothing.  :func:`enumerate_family` is not paused:
+its rows are plain int tuples, which the collector untracks the first time
+it sees them, so a pause would only move that work past the end of the call.
 """
 
 from __future__ import annotations
 
+import gc
+import operator
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +74,14 @@ class NoSolutionError(ValueError):
     """The requested weight system has no solution."""
 
 
+def _as_count(name: str, value: object) -> int:
+    """``value`` as an int, or a TypeError naming the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FamilyQuery:
     """Search space for an equal-product family.
@@ -69,7 +89,8 @@ class FamilyQuery:
     ``t`` is the number of terms per product, ``subscript_sum`` the target
     index sum, ``max_index`` the largest usable index.  With
     ``repetition=False`` indices within one product must be pairwise
-    distinct.
+    distinct.  The three counts must be integers (:class:`TypeError`
+    otherwise) and are stored as ``int``.
     """
 
     t: int
@@ -78,6 +99,8 @@ class FamilyQuery:
     repetition: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("t", "subscript_sum", "max_index"):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         if self.t < 1:
             raise ValueError(f"tuple size must be >= 1, got {self.t}")
         if self.subscript_sum < 1:
@@ -86,7 +109,7 @@ class FamilyQuery:
             raise ValueError(f"max index must be >= 1, got {self.max_index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Weighted power form: distinct indices with positive integer weights."""
 
@@ -97,6 +120,29 @@ class Decomposition:
 
     def to_json_dict(self) -> dict:
         return {"parts": [{"index": b, "weight": w} for b, w in self.parts]}
+
+
+_new = object.__new__
+_set_parts = Decomposition.__dict__["parts"].__set__
+
+
+def _decomposition(parts: tuple[tuple[int, int], ...]) -> Decomposition:
+    """The package's constructor for the rows of :func:`decompose`."""
+    d = _new(Decomposition)
+    _set_parts(d, parts)
+    return d
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore its previous state on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -202,8 +248,16 @@ def decompose(
     ``[1, max_index]`` and positive integer weights summing to ``t`` whose
     weighted index sum equals ``subscript_sum``.  Output is lexicographic in
     the (index, weight) part lists; infeasible queries return the empty
-    list.
+    list.  Each argument must be an integer (:class:`TypeError` otherwise).
+
+    The walk runs with the cyclic garbage collector paused, because its rows
+    cannot form cycles but would be rescanned by every collection; the
+    collector's previous state is restored when the walk ends or raises.
     """
+    t = _as_count("t", t)
+    subscript_sum = _as_count("subscript_sum", subscript_sum)
+    parts = _as_count("parts", parts)
+    max_index = _as_count("max_index", max_index)
     if t < 1:
         raise ValueError(f"total weight must be >= 1, got {t}")
     if parts < 1 or parts > t:
@@ -215,7 +269,7 @@ def decompose(
 
     if parts == 1:
         b, r = divmod(subscript_sum, t)
-        return [Decomposition(((b, t),))] if r == 0 and b <= max_index else []
+        return [_decomposition(((b, t),))] if r == 0 and b <= max_index else []
     l = max_index
 
     def choices(
@@ -261,19 +315,20 @@ def decompose(
             for w in range(max(1, weight_left - rem), min(weight_left - 1, slack // (l - b)) + 1):
                 w_last = weight_left - w
                 if rem % w_last == 0:
-                    out.append(Decomposition(prefix + ((b, w), (b + rem // w_last, w_last))))
+                    out.append(_decomposition(prefix + ((b, w), (b + rem // w_last, w_last))))
 
-    open_slot(1, t, subscript_sum)
-    while stack:
-        pairs, weight_left, sum_left = stack[-1]
-        pair = next(pairs, None)
-        if pair is None:
-            stack.pop()
-            continue
-        del acc[len(stack) - 1 :]
-        acc.append(pair)
-        b, w = pair
-        open_slot(b + 1, weight_left - w, sum_left - w * b)
+    with _collector_paused():
+        open_slot(1, t, subscript_sum)
+        while stack:
+            pairs, weight_left, sum_left = stack[-1]
+            pair = next(pairs, None)
+            if pair is None:
+                stack.pop()
+                continue
+            del acc[len(stack) - 1 :]
+            acc.append(pair)
+            b, w = pair
+            open_slot(b + 1, weight_left - w, sum_left - w * b)
     return out
 
 

@@ -79,7 +79,7 @@ class SequenceSpec:
         return self.a1 > 0 and self.r > 0 and self.r != 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factor:
     """One term ``a_index`` raised to a nonzero exact exponent."""
 
@@ -93,7 +93,7 @@ class Factor:
             raise ValueError("factors with zero exponent are not representable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringProduct:
     """Normalized product of sequence terms.
 
@@ -168,21 +168,23 @@ def normalize(raw_factors: Iterable[tuple[int, ExponentLike]]) -> StringProduct:
 
 
 _new = object.__new__
+_set_index = Factor.__dict__["index"].__set__
+_set_exponent = Factor.__dict__["exponent"].__set__
+_set_factors = StringProduct.__dict__["factors"].__set__
 
 
 def _factor(index: int, exponent: ExactExponent) -> Factor:
     """The package's constructor for a validated index and nonzero exponent."""
     f = _new(Factor)
-    fields = f.__dict__
-    fields["index"] = index
-    fields["exponent"] = exponent
+    _set_index(f, index)
+    _set_exponent(f, exponent)
     return f
 
 
 def _product(factors: tuple[Factor, ...]) -> StringProduct:
     """The package's constructor for factors already sorted by strictly ascending index."""
     p = _new(StringProduct)
-    p.__dict__["factors"] = factors
+    _set_factors(p, factors)
     return p
 
 

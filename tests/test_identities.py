@@ -1,5 +1,8 @@
 """Family enumeration, decompositions and exact weight solving."""
 
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,6 +29,7 @@ from geomprod import (
     solve_rational_weights,
     verify_identity,
 )
+from geomprod import identities
 
 from .support import equivalent_variant, random_product
 
@@ -230,6 +234,81 @@ class TestDecompose:
         assert d.to_json_dict() == {
             "parts": [{"index": 2, "weight": 1}, {"index": 5, "weight": 2}]
         }
+
+
+class TestIntegerArguments:
+    """Each count is checked once, before any walk: a float used to pass
+    through as a row value or fail inside ``range`` without a name."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: enumerate_family(FamilyQuery(1, 8.0, 8)), "subscript_sum"),
+            (lambda: decompose(2, 8.0, 1, 8), "subscript_sum"),
+            (lambda: FamilyQuery(1, 3, 8.5), "max_index"),
+            (lambda: decompose(3, 12, 2, 8.0), "max_index"),
+            (lambda: FamilyQuery(2.0, 8, 8), "t"),
+            (lambda: decompose(3, 12, "2", 8), "parts"),
+        ],
+    )
+    def test_non_integer_raises_type_error_naming_it(self, call, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_integer_likes_are_stored_as_int(self):
+        query = FamilyQuery(True, 3, 8)
+        assert type(query.t) is int and query.t == 1
+        assert enumerate_family(query) == [(3,)]
+        assert decompose(True, 4, True, 8) == [Decomposition(((4, 1),))]
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_state_restored(self, collector):
+        assert len(decompose(10, 60, 4, 12)) == 796
+        assert gc.isenabled() is collector
+
+    def test_paused_during_walk(self, collector, monkeypatch):
+        seen = []
+        row = identities._decomposition
+
+        def recording(parts):
+            seen.append(gc.isenabled())
+            return row(parts)
+
+        monkeypatch.setattr(identities, "_decomposition", recording)
+        decompose(3, 12, 2, 8)
+        assert seen == [False] * 3
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_walk_raises(self, collector, monkeypatch):
+        def failing(parts):
+            raise RuntimeError("row")
+
+        monkeypatch.setattr(identities, "_decomposition", failing)
+        with pytest.raises(RuntimeError, match="row"):
+            decompose(3, 12, 2, 8)
+        assert gc.isenabled() is collector
+
+
+class TestDecompositionRecord:
+    def test_rows_equal_public_construction(self):
+        for t, s, parts, l in [(2, 8, 1, 8), (3, 12, 2, 8), (6, 30, 3, 9)]:
+            for d in decompose(t, s, parts, l):
+                public = Decomposition(d.parts)
+                assert d == public and hash(d) == hash(public) and repr(d) == repr(public)
+
+    def test_pickle_copy_and_no_dict(self):
+        for d in decompose(6, 30, 3, 9) + decompose(2, 8, 1, 8):
+            assert not hasattr(d, "__dict__")
+            for back in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+                assert back == d and hash(back) == hash(d) and repr(back) == repr(d)
 
 
 class TestCollapse:

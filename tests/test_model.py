@@ -1,5 +1,7 @@
 """Core model: normalization, signatures, equivalence, evaluation."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -109,6 +111,14 @@ class TestNormalize:
         assert p == public and hash(p) == hash(public) and repr(p) == repr(public)
         for f, g in zip(p.factors, public.factors):
             assert f == g and hash(f) == hash(g)
+
+    @given(raw_pairs)
+    def test_pickle_copy_and_no_dict(self, pairs):
+        p = normalize(pairs)
+        for x in (p, *p.factors):
+            assert not hasattr(x, "__dict__")
+            for back in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert back == x and hash(back) == hash(x) and repr(back) == repr(x)
 
     def test_direct_construction_rejects_unsorted(self):
         f3, f4 = Factor(3, ExactExponent(1)), Factor(4, ExactExponent(1))
