@@ -87,9 +87,9 @@ class ExactExponent:
         return float(self.rat) + float(self.pi) * math.pi
 
     def __str__(self) -> str:
-        if self.pi == 0:
+        if not self.pi:
             return str(self.rat)
-        if self.rat == 0:
+        if not self.rat:
             return f"{self.pi}*pi"
         if self.pi < 0:
             return f"{self.rat}-{-self.pi}*pi"

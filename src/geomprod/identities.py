@@ -41,14 +41,13 @@ it sees them, so a pause would only move that work past the end of the call.
 from __future__ import annotations
 
 import gc
-import operator
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import as_rational
-from .model import Signature, StringProduct, normalize, signature
+from .model import Signature, StringProduct, _as_int, normalize, signature
 
 __all__ = [
     "InvalidShiftError",
@@ -74,14 +73,6 @@ class NoSolutionError(ValueError):
     """The requested weight system has no solution."""
 
 
-def _as_count(name: str, value: object) -> int:
-    """``value`` as an int, or a TypeError naming the argument ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class FamilyQuery:
     """Search space for an equal-product family.
@@ -89,8 +80,8 @@ class FamilyQuery:
     ``t`` is the number of terms per product, ``subscript_sum`` the target
     index sum, ``max_index`` the largest usable index.  With
     ``repetition=False`` indices within one product must be pairwise
-    distinct.  The three counts must be integers (:class:`TypeError`
-    otherwise) and are stored as ``int``.
+    distinct.  The three counts must be integers and ``repetition`` a
+    ``bool`` (:class:`TypeError` otherwise); the counts are stored as ``int``.
     """
 
     t: int
@@ -100,7 +91,9 @@ class FamilyQuery:
 
     def __post_init__(self) -> None:
         for name in ("t", "subscript_sum", "max_index"):
-            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if type(self.repetition) is not bool:
+            raise TypeError(f"repetition must be a bool, got {self.repetition!r}")
         if self.t < 1:
             raise ValueError(f"tuple size must be >= 1, got {self.t}")
         if self.subscript_sum < 1:
@@ -226,8 +219,10 @@ def shift_identity(i: int, j: int, n: int) -> Identity:
 
     The subscript sum is preserved by construction so the identity always
     verifies.  ``n`` may be negative; a shift that drives either index below
-    1 raises :class:`InvalidShiftError`.
+    1 raises :class:`InvalidShiftError`.  Each argument must be an integer
+    (:class:`TypeError` otherwise).
     """
+    i, j, n = _as_int("i", i), _as_int("j", j), _as_int("n", n)
     if i < 1 or j < 1:
         raise InvalidShiftError(f"term indices must be >= 1, got ({i}, {j})")
     if i - n < 1 or j + n < 1:
@@ -254,10 +249,10 @@ def decompose(
     cannot form cycles but would be rescanned by every collection; the
     collector's previous state is restored when the walk ends or raises.
     """
-    t = _as_count("t", t)
-    subscript_sum = _as_count("subscript_sum", subscript_sum)
-    parts = _as_count("parts", parts)
-    max_index = _as_count("max_index", max_index)
+    t = _as_int("t", t)
+    subscript_sum = _as_int("subscript_sum", subscript_sum)
+    parts = _as_int("parts", parts)
+    max_index = _as_int("max_index", max_index)
     if t < 1:
         raise ValueError(f"total weight must be >= 1, got {t}")
     if parts < 1 or parts > t:
@@ -358,8 +353,10 @@ def solve_rational_weights(
 
     Solves ``w1 + w2 = total`` and ``w1*i + w2*j = total*k``.  For ``i != j``
     the solution is unique; the degenerate ``i == j == k`` case returns
-    ``(total, 0)``, and ``i == j != k`` has no solution.
+    ``(total, 0)``, and ``i == j != k`` has no solution.  The indices must
+    be integers (:class:`TypeError` otherwise).
     """
+    i, j, k = _as_int("i", i), _as_int("j", j), _as_int("k", k)
     for name, value in (("i", i), ("j", j), ("k", k)):
         if value < 1:
             raise ValueError(f"index {name} must be >= 1, got {value}")

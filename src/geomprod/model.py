@@ -17,6 +17,7 @@ package builds on.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,14 @@ class InvalidIndexError(ValueError):
 
 class IndexRangeError(ValueError):
     """A term index exceeds the sequence length available for evaluation."""
+
+
+def _as_int(name: str, value: object) -> int:
+    """``value`` as an int, or a TypeError naming the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_exponent(value: ExponentLike) -> ExactExponent:
@@ -149,10 +158,13 @@ def normalize(raw_factors: Iterable[tuple[int, ExponentLike]]) -> StringProduct:
 
     Repeated indices are merged by adding exponents, zero exponents are
     dropped, and factors come out sorted by index.  Raises
-    :class:`InvalidIndexError` for indices below 1.
+    :class:`InvalidIndexError` for indices below 1 and :class:`TypeError`
+    for an index that is not an integer; a bool index is stored as ``int``.
     """
     merged: dict[int, ExactExponent] = {}
     for index, exponent in raw_factors:
+        if type(index) is not int:
+            index = _as_int("index", index)
         if index < 1:
             raise InvalidIndexError(f"term index must be >= 1, got {index}")
         exp = _as_exponent(exponent)
@@ -161,9 +173,13 @@ def normalize(raw_factors: Iterable[tuple[int, ExponentLike]]) -> StringProduct:
         else:
             merged[index] = exp
     # indices are checked above and come out sorted and distinct, and zero
-    # exponents are dropped here: the public constructors' checks would pass
+    # exponents are dropped here: the public constructors' checks would pass.
+    # tuple() of a list, not of a generator: CPython sizes a tuple built from
+    # a generator at 10 slots and reallocs it to its length, which moves a
+    # tuple from the 10-slot free list into the free list of its final size
+    # on every call, until those lists fill to their caps and hold memory.
     return _product(
-        tuple(_factor(index, exp) for index, exp in sorted(merged.items()) if exp.rat or exp.pi)
+        tuple([_factor(index, exp) for index, exp in sorted(merged.items()) if exp.rat or exp.pi])
     )
 
 

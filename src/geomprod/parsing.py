@@ -30,6 +30,19 @@ exponent body, an index below 1, a zero denominator, a digit run too long
 for ``int()``, the literal ``1``, a missing or second ``=``) the whole text
 goes to the token parser, :class:`_Parser`, so rare forms and every error,
 with its position, expected and found text, come from that one place.
+
+The scanner builds each exponent once per spelling.  Texts repeat a few
+spellings many times (``(1/2)``, ``-3``, ``(1/2+pi)``), and building one
+costs one to three Fractions, so the scanner keeps the exponents it built
+in a module-level table keyed by the exponent's text after ``^``, and its
+factors share them; exponents are immutable, so sharing changes no
+result.  The table is bounded twice.  It takes at most 1,024 entries and
+then stops adding, with no eviction.  It takes no spelling longer than 32
+characters, which keeps it small and keeps every entry valid under any
+``sys.set_int_max_str_digits``: that limit is 0 or at least 640 digits, so
+a spelling that long always converts, and a longer one is read afresh
+each time, where a lowered limit still makes it a :class:`ParseError`.
+:func:`render` likewise writes each exponent object once per call.
 """
 
 from __future__ import annotations
@@ -202,16 +215,23 @@ class _Parser:
 _WS = r"[ \t\r\n\v\f]*"
 _RAT = rf"([0-9]+)(?:{_WS}/{_WS}([0-9]+))?"  # an unsigned rational: 2 groups
 _COEF = rf"(?:{_RAT}{_WS}(?:\*{_WS})?)?"  # [p][*] before pi: 2 groups
+# Group 2 is the exponent's whole spelling, the key of _EXPONENTS.
 _TERM_RE = re.compile(
     rf"""{_WS}a{_WS}([0-9]+){_WS}
-    (?:\^{_WS}(?:
+    (?:\^{_WS}(
         (?:(-){_WS})?{_RAT}                                 # ^q
       | \({_WS}(?:(-){_WS})?{_RAT}{_WS}(?:([+-]){_WS}{_COEF}pi{_WS})?\)  # ^(q ± [p][*]pi)
-      | \({_WS}(?:(-){_WS})?{_COEF}(pi){_WS}\)               # ^([-][p][*]pi)
+      | \({_WS}(?:(-){_WS})?{_COEF}pi{_WS}\)                 # ^([-][p][*]pi)
     ){_WS})?
     (\*|=|\Z)""",
     re.VERBOSE,
 )
+
+# The scanner's exponents by spelling, and its two bounds; see the module
+# docstring.
+_EXPONENTS: dict[str, ExactExponent] = {}
+_EXPONENTS_MAX = 1024  # entries
+_SPELLING_MAX = 32  # characters
 
 
 def _rational(minus: str | None, num: str, den: str | None) -> Fraction:
@@ -227,6 +247,23 @@ def _rational(minus: str | None, num: str, den: str | None) -> Fraction:
     return Fraction(value) if den == 1 else Fraction(value, den)
 
 
+def _exponent(m: re.Match) -> ExactExponent:
+    """The exponent of a _TERM_RE match that has one, built as _Parser
+    builds it; raises as _rational does."""
+    q_minus, q, q_den, b_minus, b, b_den, op, p, p_den, c_minus, c, c_den = m.groups()[2:14]
+    if q is not None:
+        return _of(_rational(q_minus, q, q_den), _ZERO)
+    if b is not None:
+        exp = _of(_rational(b_minus, b, b_den), _ZERO)
+        if op:
+            pi = PI if p is None else _of(_ZERO, _rational(None, p, p_den))
+            exp = exp + pi if op == "+" else exp - pi
+        return exp
+    if c is not None:
+        return _of(_ZERO, _rational(c_minus, c, c_den))
+    return _NEG_PI if c_minus else PI
+
+
 def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None:
     """The (index, exponent) pairs of ``sides`` products joined by "=".
 
@@ -237,30 +274,24 @@ def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None
     pairs: list[tuple[int, ExactExponent]] = []
     pos = 0
     match = _TERM_RE.match
+    exponents = _EXPONENTS
     try:
         while True:
             m = match(text, pos)
             if m is None:
                 return None
-            (index, q_minus, q, q_den, b_minus, b, b_den, op, p, p_den,
-             c_minus, c, c_den, c_pi, sep) = m.groups()
+            index, spelling, sep = m.group(1, 2, 15)
             index = int(index)
             if index < 1:
                 return None
-            if q is not None:
-                exp = _of(_rational(q_minus, q, q_den), _ZERO)
-            elif b is not None:
-                exp = _of(_rational(b_minus, b, b_den), _ZERO)
-                if op:
-                    pi = PI if p is None else _of(_ZERO, _rational(None, p, p_den))
-                    exp = exp + pi if op == "+" else exp - pi
-            elif c_pi:
-                if c is not None:
-                    exp = _of(_ZERO, _rational(c_minus, c, c_den))
-                else:
-                    exp = _NEG_PI if c_minus else PI
-            else:
+            if spelling is None:
                 exp = ONE
+            else:
+                exp = exponents.get(spelling)
+                if exp is None:
+                    exp = _exponent(m)
+                    if len(spelling) <= _SPELLING_MAX and len(exponents) < _EXPONENTS_MAX:
+                        exponents[spelling] = exp
             pairs.append((index, exp))
             if sep == "*":
                 pos = m.end()
@@ -301,11 +332,11 @@ def parse_identity(text: str) -> Identity:
 
 
 def _exponent_latex(e: ExactExponent) -> str:
-    if e.pi == 0:
+    if not e.pi:
         return str(e.rat)
     mag = abs(e.pi)
     pi_part = "\\pi" if mag == 1 else f"{mag}\\pi"
-    if e.rat == 0:
+    if not e.rat:
         return pi_part if e.pi > 0 else f"-{pi_part}"
     joiner = "+" if e.pi > 0 else "-"
     return f"{e.rat}{joiner}{pi_part}"
@@ -330,12 +361,18 @@ def render(p: StringProduct, style: str = "text") -> str:
         raise ValueError(f"unknown render style {style!r}") from None
     if p.is_empty():
         return "1"
-    return joiner.join(
-        term.format(f.index)
-        if not (e := f.exponent).pi and e.rat == 1
-        else powered.format(f.index, exponent(e))
-        for f in p.factors
-    )
+    # Exponent text by exponent object, "" for the unit exponent.  Factors
+    # share exponent objects (the scanner's table, ONE), and ``p`` keeps
+    # every one alive for the whole call, so no id is reused within it.
+    written: dict[int, str] = {}
+    out = []
+    for f in p.factors:
+        e = f.exponent
+        text = written.get(id(e))
+        if text is None:
+            text = written[id(e)] = "" if not e.pi and e.rat == 1 else exponent(e)
+        out.append(powered.format(f.index, text) if text else term.format(f.index))
+    return joiner.join(out)
 
 
 def render_identity(ident: Identity, style: str = "text") -> str:

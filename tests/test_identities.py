@@ -237,8 +237,9 @@ class TestDecompose:
 
 
 class TestIntegerArguments:
-    """Each count is checked once, before any walk: a float used to pass
-    through as a row value or fail inside ``range`` without a name."""
+    """Each count and index is checked once, at the boundary: a float used to
+    pass through as a row value or index, or fail inside ``range`` without a
+    name."""
 
     @pytest.mark.parametrize(
         "call, name",
@@ -249,6 +250,10 @@ class TestIntegerArguments:
             (lambda: decompose(3, 12, 2, 8.0), "max_index"),
             (lambda: FamilyQuery(2.0, 8, 8), "t"),
             (lambda: decompose(3, 12, "2", 8), "parts"),
+            (lambda: shift_identity(2.0, 5, 1), "i"),
+            (lambda: shift_identity(4, 3, 1.0), "n"),
+            (lambda: solve_rational_weights(2.0, 4, 3, 2), "i"),
+            (lambda: solve_rational_weights(2, 4, Fraction(3), 2), "k"),
         ],
     )
     def test_non_integer_raises_type_error_naming_it(self, call, name):
@@ -260,6 +265,14 @@ class TestIntegerArguments:
         assert type(query.t) is int and query.t == 1
         assert enumerate_family(query) == [(3,)]
         assert decompose(True, 4, True, 8) == [Decomposition(((4, 1),))]
+        ident = shift_identity(3, True, True)
+        assert ident == shift_identity(3, 1, 1)
+        assert all(type(f.index) is int for f in ident.lhs.factors + ident.rhs.factors)
+
+    @pytest.mark.parametrize("repetition", ["False", 0, 1, None])
+    def test_repetition_must_be_a_bool(self, repetition):
+        with pytest.raises(TypeError, match="^repetition must be a bool"):
+            FamilyQuery(2, 4, 6, repetition)
 
 
 class TestCollectorPause:

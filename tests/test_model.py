@@ -92,6 +92,13 @@ class TestNormalize:
     def test_empty_is_valid(self):
         assert normalize([]).is_empty()
 
+    def test_index_must_be_an_integer(self):
+        for bad in (2.0, Fraction(2), "2"):
+            with pytest.raises(TypeError, match="^index must be an integer"):
+                normalize([(bad, 1)])
+        p = normalize([(True, 1)])
+        assert p == normalize([(1, 1)]) and type(p.factors[0].index) is int
+
     @given(raw_pairs)
     def test_idempotent(self, pairs):
         once = normalize(pairs)

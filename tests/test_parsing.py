@@ -1,17 +1,22 @@
 """Parser and renderer: grammar coverage, errors, round trips."""
 
+import copy
+import pickle
 import random
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from geomprod import (
     ExactExponent,
+    Factor,
     Identity,
     InvalidIndexError,
     ParseError,
+    StringProduct,
     normalize,
     parse_identity,
     parse_product,
@@ -330,7 +335,8 @@ def _edit(rng: random.Random, text: str) -> str:
 class TestTermScanner:
     """The term scanner in front of _Parser changes no result and no error."""
 
-    def test_equals_parser_alone(self):
+    def test_equals_parser_alone(self, monkeypatch):
+        monkeypatch.setattr(parsing, "_EXPONENTS", {})
         rng = random.Random(1111)
         texts = [grammar_identity(rng) for _ in range(600)]
         texts += [grammar_product(rng) for _ in range(600)]
@@ -340,13 +346,18 @@ class TestTermScanner:
         # the rows of test_error_fields_pinned, read from its parametrize mark
         (mark,) = TestParseErrors.test_error_fields_pinned.pytestmark
         texts += [row[0] for row in mark.args[1]]
-        scanned = 0
-        for text in texts:
-            for parse, sides in ((parse_product, 1), (parse_identity, 2)):
-                scanned += parsing._scan(text, sides) is not None
-                expected = _outcome(lambda t: _parser_only(parse, t), text)
-                assert _outcome(parse, text) == expected, text
-        assert scanned > len(texts) // 3  # the comparison exercises the scanner, not only the fallback
+        # the first pass starts from an empty exponent table, the second
+        # from the table the first one filled
+        for table in ("cold", "warm"):
+            scanned = 0
+            for text in texts:
+                for parse, sides in ((parse_product, 1), (parse_identity, 2)):
+                    scanned += parsing._scan(text, sides) is not None
+                    expected = _outcome(lambda t: _parser_only(parse, t), text)
+                    assert _outcome(parse, text) == expected, (table, text)
+            # the comparison exercises the scanner, not only the fallback
+            assert scanned > len(texts) // 3
+            assert len(parsing._EXPONENTS) > 500
 
     def test_scanner_reads_every_render(self, monkeypatch):
         def no_parser(text):
@@ -364,6 +375,76 @@ class TestTermScanner:
         # and the other spellings the module docstring names
         for text in ["a3^(-pi)", "a3^(pi)", "a3^(2pi)", "a3^( - 3 * pi )", "a3^-1/2", "a3^(1 + pi)"]:
             parse_product(text)
+
+
+@contextmanager
+def _int_digit_limit(digits: int):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _with_own_exponents(p: StringProduct) -> StringProduct:
+    """``p`` built by the public constructors, one new exponent per factor."""
+    return StringProduct(
+        tuple(Factor(f.index, ExactExponent(f.exponent.rat, f.exponent.pi)) for f in p.factors)
+    )
+
+
+class TestExponentTable:
+    """The scanner's exponents by spelling: bounded, and invisible in results."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(parsing, "_EXPONENTS", {})
+
+    def test_entry_cap(self):
+        cap = parsing._EXPONENTS_MAX
+        for k in range(1, 2 * cap):
+            assert parse_product(f"a3^({k}/7)") == normalize([(3, Fraction(k, 7))])
+            assert len(parsing._EXPONENTS) == min(k, cap)
+
+    def test_long_spelling_stays_out(self):
+        digits = "7" * 4000
+        with _int_digit_limit(4300):
+            assert parse_product(f"a3^({digits})*a4^(1/2)") == normalize(
+                [(3, int(digits)), (4, Fraction(1, 2))]
+            )
+        assert list(parsing._EXPONENTS) == ["(1/2)"]
+
+    def test_lower_digit_limit_after_a_long_spelling(self):
+        text = "a3^(" + "7" * 1000 + ")"
+        with _int_digit_limit(4300):
+            assert parse_product(text) == normalize([(3, int("7" * 1000))])
+        with _int_digit_limit(640), pytest.raises(ParseError) as info:
+            parse_product(text)
+        err = info.value
+        assert (err.position, err.expected, err.found) == (
+            4, "an integer of at most 640 digits", "1000 digits"
+        )
+
+    def test_shared_exponents_pickle_and_compare(self):
+        text = "a1^(1/2+pi) * a2^(1/2+pi) * a4^-3 = a3^(1/2+pi) * a5^-3 * a6^(1/2+pi)"
+        ident = parse_identity(text)
+        assert ident.lhs.factors[0].exponent is ident.rhs.factors[2].exponent
+        public = Identity(_with_own_exponents(ident.lhs), _with_own_exponents(ident.rhs))
+        assert public.lhs.factors[0].exponent is not public.lhs.factors[1].exponent
+        for back in (ident, pickle.loads(pickle.dumps(ident)), copy.deepcopy(ident)):
+            assert back == public and hash(back) == hash(public) and repr(back) == repr(public)
+
+    def test_render_equals_render_of_own_exponents(self):
+        rng = random.Random(1113)
+        shared = 0
+        for _ in range(300):
+            p = parse_product(render(random_product(rng, max_factors=12, max_index=30)))
+            own = _with_own_exponents(p)
+            shared += len({id(f.exponent) for f in p.factors}) < len(p.factors)
+            for style in ("text", "latex"):
+                assert render(p, style) == render(own, style)
+        assert shared > 100  # the memo in render is exercised
 
 
 # Each text has at least 2*10^5 characters; a scanner that backtracks
