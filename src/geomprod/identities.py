@@ -373,7 +373,10 @@ def solve_rational_weights(
 
 
 def verify_identity(ident: Identity) -> Verdict:
-    """Decide an identity by signature comparison; never raises."""
+    """Decide an identity by signature comparison.
+
+    Never raises when both sides are :class:`StringProduct` values.
+    """
     lhs_sig = signature(ident.lhs)
     rhs_sig = signature(ident.rhs)
     return Verdict(lhs_sig == rhs_sig, lhs_sig, rhs_sig)

@@ -69,7 +69,8 @@ def _as_exponent(value: ExponentLike) -> ExactExponent:
 class SequenceSpec:
     """Concrete geometric sequence used for numeric evaluation.
 
-    ``l`` is the largest usable index.  Evaluation additionally needs
+    ``l`` is the largest usable index, an integer (:class:`TypeError`
+    otherwise) stored as ``int``.  Evaluation additionally needs
     ``a1 > 0`` and ``r > 0`` so that fractional exponents stay real;
     :meth:`admissible` also excludes ``r = 1``, the degenerate ratio at which
     all equal-length products coincide and equivalence testing loses its
@@ -81,6 +82,7 @@ class SequenceSpec:
     l: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "l", _as_int("l", self.l))
         if self.l < 1:
             raise ValueError(f"sequence length must be >= 1, got {self.l}")
 

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .identities import Identity
-from .model import SequenceSpec, equivalent, evaluate, signature
+from .model import SequenceSpec, _as_int, equivalent, evaluate, signature
 
 __all__ = [
     "OracleConfig",
@@ -50,13 +50,19 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling plan for :func:`numeric_check`: trial count, seed, tolerance."""
+    """Sampling plan for :func:`numeric_check`: trial count, seed, tolerance.
+
+    ``trials`` and ``seed`` must be integers (:class:`TypeError` otherwise)
+    and are stored as ``int``.
+    """
 
     trials: int = 1000
     seed: int = 0
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
         if self.seed < 0:

@@ -19,23 +19,21 @@ Parsed products are normalized.  Syntax problems raise :class:`ParseError`
 with the offending position; an index below 1 raises
 :class:`~geomprod.model.InvalidIndexError`.
 
-Reading runs in two stages.  A term scanner reads the text first, one
+Reading runs in two stages.  A term scanner finds the terms first, one
 compiled-regex match per term and the separator after it (``*``, ``=`` or
-the end).  It knows the spellings users and :func:`render` write: ``a3``,
-``a3^q``, ``a3^(q)``, ``a3^(q + p*pi)``, ``a3^(q - p*pi)`` and
-``a3^(-p*pi)``, where ``q`` is a signed rational, ``p`` an optional
-unsigned one, and the ``*`` before ``pi`` optional.  Whenever the
-scanner cannot finish (a text it does not match, such as any other
-exponent body, an index below 1, a zero denominator, a digit run too long
-for ``int()``, the literal ``1``, a missing or second ``=``) the whole text
-goes to the token parser, :class:`_Parser`, so rare forms and every error,
-with its position, expected and found text, come from that one place.
+the end).  It reads a term's index and the whole spelling of its exponent:
+a signed rational, as in ``a3^-1/2``, or a parenthesized body without
+nested parentheses, as in ``a3^(1/2 + pi)``.  The token parser,
+:class:`_Parser`, reads each new exponent spelling once, plus every text the
+scanner cannot finish: the literal ``1``, an index below 1, a missing or
+second ``=``, and any error.  So ``_Parser`` alone turns exponent text into
+exponents, and every error, with its position, expected and found text,
+comes from that one place.
 
-The scanner builds each exponent once per spelling.  Texts repeat a few
-spellings many times (``(1/2)``, ``-3``, ``(1/2+pi)``), and building one
-costs one to three Fractions, so the scanner keeps the exponents it built
-in a module-level table keyed by the exponent's text after ``^``, and its
-factors share them; exponents are immutable, so sharing changes no
+The scanner keeps the exponents it read in a module-level table keyed by
+their spelling, the text after ``^``, and its factors share them.  Texts
+repeat a few spellings many times (``(1/2)``, ``-3``, ``(1/2+pi)``), so
+each one is read once; exponents are immutable, so sharing changes no
 result.  The table is bounded twice.  It takes at most 1,024 entries and
 then stops adding, with no eviction.  It takes no spelling longer than 32
 characters, which keeps it small and keeps every entry valid under any
@@ -207,21 +205,20 @@ class _Parser:
             raise self.fail("end of input")
 
 
-# One term and the separator after it.  Every whitespace run is followed by
-# a character it cannot match, and no two runs touch (an optional sign is
-# "(?:(-)WS)?", never "(-?)WS"), so a failing match backtracks in linear
-# time without atomic groups.  Every digit run is followed by a non-digit
-# and "a" and "pi" by a non-letter, so the runs are the tokenizer's tokens.
+# One term and the separator after it: the index, the exponent's whole
+# spelling (the key of _EXPONENTS) and "*", "=" or "" at the end.  Every
+# whitespace run is followed by a character it cannot match, no two runs
+# touch (the optional sign is "(?:-WS)?", never "-?WS"), and a body stops at
+# the first parenthesis, so a failing match backtracks in linear time
+# without atomic groups.  Every digit run is followed by a non-digit and "a"
+# by a non-letter, so the runs are the tokenizer's tokens and _Parser reads
+# a spelling alone as it reads it within the text.
 _WS = r"[ \t\r\n\v\f]*"
-_RAT = rf"([0-9]+)(?:{_WS}/{_WS}([0-9]+))?"  # an unsigned rational: 2 groups
-_COEF = rf"(?:{_RAT}{_WS}(?:\*{_WS})?)?"  # [p][*] before pi: 2 groups
-# Group 2 is the exponent's whole spelling, the key of _EXPONENTS.
 _TERM_RE = re.compile(
     rf"""{_WS}a{_WS}([0-9]+){_WS}
     (?:\^{_WS}(
-        (?:(-){_WS})?{_RAT}                                 # ^q
-      | \({_WS}(?:(-){_WS})?{_RAT}{_WS}(?:([+-]){_WS}{_COEF}pi{_WS})?\)  # ^(q ± [p][*]pi)
-      | \({_WS}(?:(-){_WS})?{_COEF}pi{_WS}\)                 # ^([-][p][*]pi)
+        (?:-{_WS})?[0-9]+(?:{_WS}/{_WS}[0-9]+)?  # ^q
+      | \([^()]*\)                             # ^(body)
     ){_WS})?
     (\*|=|\Z)""",
     re.VERBOSE,
@@ -232,36 +229,6 @@ _TERM_RE = re.compile(
 _EXPONENTS: dict[str, ExactExponent] = {}
 _EXPONENTS_MAX = 1024  # entries
 _SPELLING_MAX = 32  # characters
-
-
-def _rational(minus: str | None, num: str, den: str | None) -> Fraction:
-    """The Fraction _Parser.signed_rational builds from the same digits.
-
-    Raises ValueError for a digit run int() refuses and ZeroDivisionError
-    for a zero denominator; the caller then leaves the text to _Parser.
-    """
-    value = -int(num) if minus else int(num)
-    if den is None:
-        return Fraction(value)
-    den = int(den)
-    return Fraction(value) if den == 1 else Fraction(value, den)
-
-
-def _exponent(m: re.Match) -> ExactExponent:
-    """The exponent of a _TERM_RE match that has one, built as _Parser
-    builds it; raises as _rational does."""
-    q_minus, q, q_den, b_minus, b, b_den, op, p, p_den, c_minus, c, c_den = m.groups()[2:14]
-    if q is not None:
-        return _of(_rational(q_minus, q, q_den), _ZERO)
-    if b is not None:
-        exp = _of(_rational(b_minus, b, b_den), _ZERO)
-        if op:
-            pi = PI if p is None else _of(_ZERO, _rational(None, p, p_den))
-            exp = exp + pi if op == "+" else exp - pi
-        return exp
-    if c is not None:
-        return _of(_ZERO, _rational(c_minus, c, c_den))
-    return _NEG_PI if c_minus else PI
 
 
 def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None:
@@ -280,7 +247,7 @@ def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None
             m = match(text, pos)
             if m is None:
                 return None
-            index, spelling, sep = m.group(1, 2, 15)
+            index, spelling, sep = m.groups()
             index = int(index)
             if index < 1:
                 return None
@@ -289,7 +256,9 @@ def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None
             else:
                 exp = exponents.get(spelling)
                 if exp is None:
-                    exp = _exponent(m)
+                    reader = _Parser(spelling)
+                    exp = reader.exponent()
+                    reader.end()
                     if len(spelling) <= _SPELLING_MAX and len(exponents) < _EXPONENTS_MAX:
                         exponents[spelling] = exp
             pairs.append((index, exp))
@@ -303,7 +272,7 @@ def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None
                 return None  # the text ends before its "="
             pairs = []
             pos = m.end()
-    except (ValueError, ZeroDivisionError):
+    except ValueError:  # ParseError, or a digit run int() refuses
         return None
 
 

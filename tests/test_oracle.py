@@ -15,6 +15,7 @@ from geomprod import (
     CheckReport,
     Identity,
     OracleConfig,
+    SequenceSpec,
     brute_force_family,
     degenerate_probe,
     enumerate_family,
@@ -44,6 +45,23 @@ class TestOracleConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             OracleConfig(seed=-1)
+
+    # a float here was kept: SequenceSpec(1.0, 2.0, 3.5) evaluated to 4.0,
+    # and a float trial count or seed failed inside numpy
+    @pytest.mark.parametrize(
+        "build, name, bad",
+        [
+            (lambda v: SequenceSpec(1.0, 2.0, v), "l", 3.5),
+            (lambda v: OracleConfig(trials=v), "trials", 100.0),
+            (lambda v: OracleConfig(seed=v), "seed", 1.5),
+        ],
+        ids=["l", "trials", "seed"],
+    )
+    def test_integer_fields_are_coerced(self, build, name, bad):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+            build(bad)
+        value = getattr(build(True), name)
+        assert type(value) is int and value == 1
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1.0, math.inf])
     def test_rejects_tolerance_outside_unit_interval(self, rel_tol):
