@@ -17,6 +17,7 @@ package builds on.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -59,6 +60,21 @@ def _as_int(name: str, value: object) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _as_real(name: str, value: object) -> float:
+    """``value`` as a float, or a TypeError naming the argument ``name``.
+
+    A real number beyond the float range raises a ValueError naming it.
+    """
+    if type(value) is float:  # the common case skips the slower ABC check
+        return value
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
+
+
 def _as_exponent(value: ExponentLike) -> ExactExponent:
     if isinstance(value, ExactExponent):
         return value
@@ -69,8 +85,9 @@ def _as_exponent(value: ExponentLike) -> ExactExponent:
 class SequenceSpec:
     """Concrete geometric sequence used for numeric evaluation.
 
-    ``l`` is the largest usable index, an integer (:class:`TypeError`
-    otherwise) stored as ``int``.  Evaluation additionally needs
+    ``a1`` and ``r`` are real numbers stored as ``float``, and ``l``, the
+    largest usable index, is an integer stored as ``int`` (:class:`TypeError`
+    otherwise, naming the field).  Evaluation additionally needs
     ``a1 > 0`` and ``r > 0`` so that fractional exponents stay real;
     :meth:`admissible` also excludes ``r = 1``, the degenerate ratio at which
     all equal-length products coincide and equivalence testing loses its
@@ -82,6 +99,8 @@ class SequenceSpec:
     l: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "a1", _as_real("a1", self.a1))
+        object.__setattr__(self, "r", _as_real("r", self.r))
         object.__setattr__(self, "l", _as_int("l", self.l))
         if self.l < 1:
             raise ValueError(f"sequence length must be >= 1, got {self.l}")

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .identities import Identity
-from .model import SequenceSpec, _as_int, equivalent, evaluate, signature
+from .model import SequenceSpec, _as_int, _as_real, equivalent, evaluate, signature
 
 __all__ = [
     "OracleConfig",
@@ -44,7 +44,9 @@ R_RANGE = (1.1, 3.0)
 _MAX_LOG = max(-math.log(A1_RANGE[0]), math.log(A1_RANGE[1]), math.log(R_RANGE[1]))
 
 # Trials per block of numeric_check: four float64 buffers of this length
-# (512 KiB) stay in a core's L2 cache whatever the trial count.
+# (512 KiB) stay in a core's L2 cache whatever the trial count.  The draws
+# of a1 and r land in two of them, so a block allocates no array, and a full
+# block skips the exact passes its docstring lists.
 _BLOCK = 1 << 14
 
 
@@ -53,7 +55,8 @@ class OracleConfig:
     """Sampling plan for :func:`numeric_check`: trial count, seed, tolerance.
 
     ``trials`` and ``seed`` must be integers (:class:`TypeError` otherwise)
-    and are stored as ``int``.
+    and are stored as ``int``; ``rel_tol`` must be a real number
+    (:class:`TypeError` otherwise) and is stored as ``float``.
     """
 
     trials: int = 1000
@@ -63,6 +66,7 @@ class OracleConfig:
     def __post_init__(self) -> None:
         for name in ("trials", "seed"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "rel_tol", _as_real("rel_tol", self.rel_tol))
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -111,12 +115,20 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     ``a1`` comes from ``default_rng(seed)``; ``r`` comes from a second such
     generator advanced past the ``trials`` draws of ``a1`` (PCG64's jump-ahead),
     or, when one block holds every trial, from the first generator after them.
+    Both are drawn into their buffers as ``random()``, then scaled and shifted
+    there, which is how ``uniform(lo, hi)`` computes ``lo + (hi - lo) * random()``.
     Either way each trial sees the ``a1`` and ``r`` that drawing all of ``a1``
     and then all of ``r`` as whole arrays would give it, and every element goes
-    through the same operations in the same order, so the report does not
+    through the same roundings in the same order, so the report does not
     depend on the block size.  A block of fewer than ``_BLOCK // 2`` trials
     computes its terms in a fifth buffer, 2-D tiles of at most ``_BLOCK``
-    elements, but still adds them one by one in factor order.
+    elements, but still adds them one by one in factor order.  A full block
+    skips only passes that cannot change a bit of the report: a factor at
+    index 1 takes ``ln a1`` as its term (``0 * ln r`` is ``+0.0``, and
+    ``ln a1`` is never ``-0.0``), a coefficient of exactly 1 or -1 adds or
+    subtracts the term (exact in IEEE 754), and the first term is written
+    into the sum rather than added to 0.0, which can change only the sign
+    of a zero, and ``abs`` clears that.
     """
     factors = ident.lhs.factors + ident.rhs.factors
     try:
@@ -147,9 +159,14 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     for start in range(0, cfg.trials, _BLOCK):
         n = min(_BLOCK, cfg.trials - start)
         a, r, d, t = log_a1[:n], log_r[:n], diff[:n], term[:n]
-        np.log(rng.uniform(A1_RANGE[0], A1_RANGE[1], n), a)
-        np.log(rng_r.uniform(R_RANGE[0], R_RANGE[1], n), r)
-        d.fill(0.0)
+        for g, out, (lo, hi) in ((rng, a, A1_RANGE), (rng_r, r, R_RANGE)):
+            # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+            g.random(out=out)
+            out *= hi - lo
+            out += lo
+            np.log(out, out)
+        if n < _BLOCK // 2 or not coeffs:
+            d.fill(0.0)  # a full block writes its first term into d instead
         if n < _BLOCK // 2:
             # Per-call ufunc cost outweighs a short block's work, so its
             # terms go in 2-D tiles of _BLOCK // n rows: three broadcast
@@ -167,11 +184,25 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
                 for row in tt:
                     np.add(d, row, d)
         else:
-            for coeff, k in zip(coeffs, steps):
-                np.multiply(k, r, t)
-                np.add(a, t, t)
-                np.multiply(coeff, t, t)
-                np.add(d, t, d)
+            for j, (coeff, k) in enumerate(zip(coeffs, steps)):
+                base = a  # ln a1 + 0*ln r: 0*ln r is +0.0 and ln a1 is never -0.0
+                if k:
+                    base = np.multiply(k, r, t)
+                    np.add(a, t, t)
+                if j == 0:  # 0.0 + x differs from x only at -0.0, which abs clears
+                    if coeff == 1.0:
+                        np.copyto(d, base)
+                    elif coeff == -1.0:
+                        np.negative(base, d)
+                    else:
+                        np.multiply(coeff, base, d)
+                elif coeff == 1.0:  # 1.0*x is x exactly
+                    np.add(d, base, d)
+                elif coeff == -1.0:  # d + -1.0*x is d - x exactly
+                    np.subtract(d, base, d)
+                else:
+                    np.multiply(coeff, base, t)
+                    np.add(d, t, d)
         np.abs(d, d)
         np.negative(d, d)
         np.expm1(d, d)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,26 @@ class TestOracleConfig:
             build(bad)
         value = getattr(build(True), name)
         assert type(value) is int and value == 1
+
+    # a string here was kept and failed later in a comparison that named no
+    # field, and a Fraction tolerance ran every block's comparison on object
+    # dtype
+    @pytest.mark.parametrize(
+        "build, name, bad",
+        [
+            (lambda v: SequenceSpec(v, 2.0, 3), "a1", "1"),
+            (lambda v: SequenceSpec(1.0, v, 3), "r", "2"),
+            (lambda v: OracleConfig(rel_tol=v), "rel_tol", "1e-9"),
+        ],
+        ids=["a1", "r", "rel_tol"],
+    )
+    def test_real_fields_are_coerced(self, build, name, bad):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got {bad!r}$"):
+            build(bad)
+        value = getattr(build(Fraction(1, 4)), name)
+        assert type(value) is float and value == 0.25
+        with pytest.raises(ValueError, match=f"^{name} is beyond the float range$"):
+            build(10**400)
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1.0, math.inf])
     def test_rejects_tolerance_outside_unit_interval(self, rel_tol):
@@ -241,6 +262,11 @@ class TestBlockedSampling:
             parse_identity("a300^-40 = a299^-40"),
             parse_identity("a2^100000000 = a1^50000000 * a3^50000000"),
             Identity(normalize([]), normalize([])),
+            # a full block's shortcuts: the first term at index 1 with a unit
+            # coefficient, coefficients of -1, the same factors on both sides
+            parse_identity("a1*a5 = a2*a4"),
+            parse_identity("a1^-1 * a7^-1 = a4^-2"),
+            parse_identity("a3 * a9^(1/2+pi) = a3 * a9^(1/2+pi)"),
         ]
         rng = random.Random(trials)
         for _ in range(3):
