@@ -123,12 +123,11 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     depend on the block size.  A block of fewer than ``_BLOCK // 2`` trials
     computes its terms in a fifth buffer, 2-D tiles of at most ``_BLOCK``
     elements, but still adds them one by one in factor order.  A full block
-    skips only passes that cannot change a bit of the report: a factor at
-    index 1 takes ``ln a1`` as its term (``0 * ln r`` is ``+0.0``, and
-    ``ln a1`` is never ``-0.0``), a coefficient of exactly 1 or -1 adds or
-    subtracts the term (exact in IEEE 754), and the first term is written
-    into the sum rather than added to 0.0, which can change only the sign
-    of a zero, and ``abs`` clears that.
+    skips only passes that cannot change a bit of the report: the first
+    term is written into the sum rather than added to 0.0, which can change
+    only the sign of a zero, and ``abs`` clears that; a later coefficient of
+    exactly 1 or -1 adds or subtracts its term without the multiply (exact
+    in IEEE 754).
     """
     factors = ident.lhs.factors + ident.rhs.factors
     try:
@@ -166,12 +165,12 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
             out += lo
             np.log(out, out)
         if n < _BLOCK // 2 or not coeffs:
-            d.fill(0.0)  # a full block writes its first term into d instead
-        if n < _BLOCK // 2:
             # Per-call ufunc cost outweighs a short block's work, so its
             # terms go in 2-D tiles of _BLOCK // n rows: three broadcast
             # ufuncs per tile, then one addition per row in term order.
             # np.add.reduce over a tile would sum each column pairwise.
+            # With no factors there are no tiles and every sum stays 0.
+            d.fill(0.0)
             rows = _BLOCK // n
             tile = np.empty((min(rows, len(factors)), n))
             ks = np.array(steps, dtype=float)[:, None]
@@ -185,23 +184,16 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
                     np.add(d, row, d)
         else:
             for j, (coeff, k) in enumerate(zip(coeffs, steps)):
-                base = a  # ln a1 + 0*ln r: 0*ln r is +0.0 and ln a1 is never -0.0
-                if k:
-                    base = np.multiply(k, r, t)
-                    np.add(a, t, t)
+                np.multiply(k, r, t)
+                np.add(a, t, t)
                 if j == 0:  # 0.0 + x differs from x only at -0.0, which abs clears
-                    if coeff == 1.0:
-                        np.copyto(d, base)
-                    elif coeff == -1.0:
-                        np.negative(base, d)
-                    else:
-                        np.multiply(coeff, base, d)
+                    np.multiply(coeff, t, d)
                 elif coeff == 1.0:  # 1.0*x is x exactly
-                    np.add(d, base, d)
+                    np.add(d, t, d)
                 elif coeff == -1.0:  # d + -1.0*x is d - x exactly
-                    np.subtract(d, base, d)
+                    np.subtract(d, t, d)
                 else:
-                    np.multiply(coeff, base, t)
+                    np.multiply(coeff, t, t)
                     np.add(d, t, d)
         np.abs(d, d)
         np.negative(d, d)

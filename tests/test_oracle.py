@@ -262,8 +262,9 @@ class TestBlockedSampling:
             parse_identity("a300^-40 = a299^-40"),
             parse_identity("a2^100000000 = a1^50000000 * a3^50000000"),
             Identity(normalize([]), normalize([])),
-            # a full block's shortcuts: the first term at index 1 with a unit
-            # coefficient, coefficients of -1, the same factors on both sides
+            # a full block's shortcuts: a first term at index 1 with a unit
+            # coefficient, later coefficients of 1 and -1, the same factors
+            # on both sides
             parse_identity("a1*a5 = a2*a4"),
             parse_identity("a1^-1 * a7^-1 = a4^-2"),
             parse_identity("a3 * a9^(1/2+pi) = a3 * a9^(1/2+pi)"),
@@ -276,6 +277,19 @@ class TestBlockedSampling:
             for seed in (0, 5, 2**40 + 3):
                 cfg = OracleConfig(trials=trials, seed=seed)
                 assert repr(numeric_check(ident, cfg)) == repr(reference_numeric_check(ident, cfg))
+
+    def test_in_place_draws_equal_uniform(self):
+        # numeric_check scales and shifts random() in place, as uniform()
+        # does; a numpy build that fused that multiply and add would fail
+        # here, naming the cause, as well as in the reports above
+        import numpy as np
+
+        for seed in (0, 5, 2**40 + 3):
+            for lo, hi in (A1_RANGE, R_RANGE):
+                drawn = np.random.default_rng(seed).random(10_000)
+                drawn *= hi - lo
+                drawn += lo
+                assert np.array_equal(drawn, np.random.default_rng(seed).uniform(lo, hi, 10_000))
 
     def test_memory_does_not_grow_with_trials(self):
         import numpy  # noqa: F401  (its import is not what this measures)
