@@ -23,9 +23,12 @@ remaining sum must stay between the smallest and largest completion of the
 slots still open (the interval bounds of restricted partitions, Andrews,
 *The Theory of Partitions*, ch. 3).  Both bounds are linear in the next
 candidate, so each level solves them for its first and last feasible
-candidate instead of testing candidates one by one; the last slot is then
-forced.  A walk therefore costs in proportion to the rows it returns times
-``t``, not to ``max_index``, and its output matches a brute-force filter.
+candidate instead of testing candidates one by one.  The stack stops three
+levels short of a row: one pass per prefix fills the last three slots of a
+family, or the next base of a decomposition together with its last two
+bases, and the last slot or base is forced by what remains.  A walk
+therefore costs in proportion to the rows it returns times ``t``, not to
+``max_index``, and its output matches a brute-force filter.
 All listings come out in lexicographic order and are byte-reproducible.
 
 :func:`decompose` runs its walk with the cyclic garbage collector paused and
@@ -172,6 +175,7 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
     t, l, rep = query.t, query.max_index, query.repetition
     if t == 1:
         return [(query.subscript_sum,)] if query.subscript_sum <= l else []
+    step = 0 if rep else 1  # least gap between neighbouring values
 
     def candidates(min_value: int, slots: int, remaining: int) -> range:
         # Values v for the first of ``slots`` slots that leave the other
@@ -187,19 +191,34 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
             last = (remaining - rest * (rest + 1) // 2) // slots
         return range(max(min_value, remaining - largest), last + 1)
 
+    if t == 2:
+        s = query.subscript_sum
+        return [(v, s - v) for v in candidates(1, 2, s)]
+
     out: list[tuple[int, ...]] = []
     # One value per filled slot, shared by the whole walk so that a deep
     # query holds O(t) state; a prefix tuple per level would hold O(t^2).
     acc: list[int] = []
     stack: list[tuple[Iterator[int], int]] = []  # (candidates, remaining) per open slot
 
+    def last_three(min_value: int, r: int) -> None:
+        # The last three slots in one pass: the middle value w ranges over
+        # candidates(v + step, 2, r - v), spelled out, and the last takes
+        # what remains.
+        pre = tuple(acc)
+        out.extend([
+            pre + (v, w, r - v - w)
+            for v in candidates(min_value, 3, r)
+            for w in range(max(v + step, r - v - l), (r - v - step) // 2 + 1)
+        ])
+
+    # last_three is a function of its own: a comprehension inside open_slot
+    # would make open_slot's arguments closure cells, paid for at every step.
     def open_slot(min_value: int, remaining: int) -> None:
-        values = candidates(min_value, t - len(acc), remaining)
-        if len(acc) == t - 2:  # the last slot takes what remains
-            prefix = tuple(acc)
-            out.extend([prefix + (v, remaining - v) for v in values])
+        if len(acc) < t - 3:
+            stack.append((iter(candidates(min_value, t - len(acc), remaining)), remaining))
         else:
-            stack.append((iter(values), remaining))
+            last_three(min_value, remaining)
 
     open_slot(1, query.subscript_sum)
     while stack:
@@ -210,7 +229,7 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
             continue
         del acc[len(stack) - 1 :]
         acc.append(v)
-        open_slot(v if rep else v + 1, remaining - v)
+        open_slot(v + step, remaining - v)
     return out
 
 
@@ -294,26 +313,48 @@ def decompose(
     # (choices, weight left, sum left) per open slot
     stack: list[tuple[Iterator[tuple[int, int]], int, int]] = []
 
-    def open_slot(min_index: int, weight_left: int, sum_left: int) -> None:
-        rest = parts - 1 - len(acc)
-        if rest > 1:
-            stack.append((choices(min_index, rest, weight_left, sum_left), weight_left, sum_left))
-            return
+    def last_two(prefix: tuple, heads: list[tuple[tuple, int, int, int]]) -> None:
         # The last base and weight are forced: with rem = sum_left - W*b for
         # W = weight_left, the pair (b, w) leaves b_last = b + rem / (W - w),
         # so it is kept iff W - w divides rem.  The ranges are those of
         # choices() at rest = 1, spelled out without a pair per candidate.
-        prefix = tuple(acc)
-        slack = weight_left * l - sum_left
-        for b in range(max(min_index, l - slack), min(l - 1, (sum_left - 1) // weight_left) + 1):
-            rem = sum_left - weight_left * b
-            for w in range(max(1, weight_left - rem), min(weight_left - 1, slack // (l - b)) + 1):
-                w_last = weight_left - w
-                if rem % w_last == 0:
-                    out.append(_decomposition(prefix + ((b, w), (b + rem // w_last, w_last))))
+        # Each head's tuple is built here, so that a deep walk holds one
+        # O(parts) tuple at a time.
+        for lead, min_index, weight_left, sum_left in heads:
+            head = prefix + lead
+            slack = weight_left * l - sum_left
+            for b in range(max(min_index, l - slack), min(l - 1, (sum_left - 1) // weight_left) + 1):
+                rem = sum_left - weight_left * b
+                for w in range(max(1, weight_left - rem), min(weight_left - 1, slack // (l - b)) + 1):
+                    w_last = weight_left - w
+                    if rem % w_last == 0:
+                        out.append(_decomposition(head + ((b, w), (b + rem // w_last, w_last))))
+
+    def last_three(min_index: int, weight_left: int, sum_left: int) -> None:
+        # The last three bases in one pass: the pairs (b, w) of choices() at
+        # rest = 2, spelled out, each with what it leaves for last_two().
+        slack = weight_left * l - 1 - sum_left
+        last_two(tuple(acc), [
+            (((b, w),), b + 1, weight_left - w, sum_left - w * b)
+            for b in range(max(min_index, l - slack), min(l - 2, (sum_left - 3) // weight_left) + 1)
+            for w in range(
+                max(1, weight_left * (b + 1) + 1 - sum_left), min(weight_left - 2, slack // (l - b)) + 1
+            )
+        ])
+
+    # last_three is a function of its own, as in enumerate_family.
+    def open_slot(min_index: int, weight_left: int, sum_left: int) -> None:
+        rest = parts - 1 - len(acc)
+        if rest > 2:
+            stack.append((choices(min_index, rest, weight_left, sum_left), weight_left, sum_left))
+        else:
+            last_three(min_index, weight_left, sum_left)
 
     with _collector_paused():
-        open_slot(1, t, subscript_sum)
+        if parts == 2:
+            last_two((), [((), 1, t, subscript_sum)])
+        else:
+            open_slot(1, t, subscript_sum)
         while stack:
             pairs, weight_left, sum_left = stack[-1]
             pair = next(pairs, None)

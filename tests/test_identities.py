@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -79,6 +80,32 @@ class TestEnumerateFamily:
                         assert enumerate_family(
                             FamilyQuery(t, s, l, rep)
                         ) == brute_force_family(t, s, l, rep)
+
+    def test_matches_brute_force_at_five_terms(self):
+        # the last three slots run under two stack levels
+        for l in range(1, 16):
+            for rep in (False, True):
+                for s in range(1, 5 * l + 2):
+                    assert enumerate_family(
+                        FamilyQuery(5, s, l, rep)
+                    ) == brute_force_family(5, s, l, rep), (s, l, rep)
+
+    @pytest.mark.parametrize("t", [6, 7])
+    def test_matches_combinations_past_brute_force_range(self, t):
+        # brute_force_family stops at t = 5; group every combination by sum
+        for l in range(1, 13):
+            for rep in (False, True):
+                combine = (
+                    itertools.combinations_with_replacement
+                    if rep
+                    else itertools.combinations
+                )
+                by_sum = {}
+                for c in combine(range(1, l + 1), t):
+                    by_sum.setdefault(sum(c), []).append(c)
+                for s in range(1, t * l + 2):
+                    got = enumerate_family(FamilyQuery(t, s, l, rep))
+                    assert got == by_sum.get(s, []), (t, s, l, rep)
 
     def test_scales_past_oracle_bounds(self):
         got = enumerate_family(FamilyQuery(3, 75, 50))
@@ -193,8 +220,6 @@ class TestDecompose:
                 assert equivalent(d.to_product(), reference)
 
     def test_brute_force_cross_check(self):
-        import itertools
-
         def brute(t, n, l):
             """Every form with n bases in [1, l] and total weight t, by sum."""
             weightings = [
@@ -207,13 +232,16 @@ class TestDecompose:
                     found.setdefault(s, []).append(tuple(zip(bases, weights)))
             return {s: sorted(rows) for s, rows in found.items()}
 
-        for l in range(1, 10):
-            for t in range(1, 6):
-                for n in range(1, t + 1):
-                    expect = brute(t, n, l)
-                    for s in range(1, t * l + 2):
-                        got = [d.parts for d in decompose(t, s, n, l)]
-                        assert got == expect.get(s, []), (t, s, n, l)
+        # t = 6 reaches every path: one part, the last pair alone, the
+        # three-base pass, and that pass under one to three stack levels
+        grid = [(t, l) for l in range(1, 10) for t in range(1, 6)]
+        grid += [(6, l) for l in range(1, 9)]
+        for t, l in grid:
+            for n in range(1, t + 1):
+                expect = brute(t, n, l)
+                for s in range(1, t * l + 2):
+                    got = [d.parts for d in decompose(t, s, n, l)]
+                    assert got == expect.get(s, []), (t, s, n, l)
 
     def test_sparse_at_large_index(self):
         l = 10**5
@@ -287,6 +315,10 @@ class TestCollectorPause:
         assert len(decompose(10, 60, 4, 12)) == 796
         assert gc.isenabled() is collector
 
+    # one query per path, with its row count: the last pair alone, the
+    # three-base pass, and that pass under a stack level
+    PATHS = {(3, 12, 2, 8): 3, (6, 30, 3, 9): 30, (10, 60, 4, 12): 796}
+
     def test_paused_during_walk(self, collector, monkeypatch):
         seen = []
         row = identities._decomposition
@@ -296,18 +328,21 @@ class TestCollectorPause:
             return row(parts)
 
         monkeypatch.setattr(identities, "_decomposition", recording)
-        decompose(3, 12, 2, 8)
-        assert seen == [False] * 3
-        assert gc.isenabled() is collector
+        for query, count in self.PATHS.items():
+            seen.clear()
+            decompose(*query)
+            assert seen == [False] * count, query
+            assert gc.isenabled() is collector, query
 
     def test_state_restored_when_walk_raises(self, collector, monkeypatch):
         def failing(parts):
             raise RuntimeError("row")
 
         monkeypatch.setattr(identities, "_decomposition", failing)
-        with pytest.raises(RuntimeError, match="row"):
-            decompose(3, 12, 2, 8)
-        assert gc.isenabled() is collector
+        for query in self.PATHS:
+            with pytest.raises(RuntimeError, match="row"):
+                decompose(*query)
+            assert gc.isenabled() is collector, query
 
 
 class TestDecompositionRecord:
