@@ -2,10 +2,13 @@
 
 :func:`numeric_check` compares log sums taken term by term, not through the
 signature, so a pass is independent evidence; "unstable" means rounding alone
-could fail the identity, so no trial ran.  Sampling is seeded and vectorized
-over fixed-size blocks, so memory stays constant in the trial count, and
-reports are reproducible bit for bit whatever the block size.  numpy is
-imported on the first numeric check, not with the package.
+could fail the identity, so no trial ran.  Sampling is seeded and evaluated
+over fixed-size blocks, so memory stays constant in the trial count.  A check
+of several chunks, on a process that may run on two or more CPUs, draws each
+next chunk on one worker thread while the caller evaluates the current one.
+Reports are reproducible bit for bit whatever the block or chunk size and
+whether a thread ran.  numpy is imported on the first numeric check, not
+with the package.
 
 :func:`brute_force_family` is the small-scale reference enumerator
 (materialize every combination, filter by sum) against which the closed-form
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,11 +47,26 @@ A1_RANGE = (0.5, 2.0)
 R_RANGE = (1.1, 3.0)
 _MAX_LOG = max(-math.log(A1_RANGE[0]), math.log(A1_RANGE[1]), math.log(R_RANGE[1]))
 
-# Trials per block of numeric_check: four float64 buffers of this length
-# (512 KiB) stay in a core's L2 cache whatever the trial count.  The draws
-# of a1 and r land in two of them, so a block allocates no array, and a full
-# block skips the exact passes its docstring lists.
+# Trials per block of numeric_check: a block's a1, r, sums and terms, four
+# float64 buffers of this length (512 KiB), stay in a core's L2 cache
+# whatever the trial count.  Draws land in preallocated buffers, so a block
+# allocates no array, and a full block skips the exact passes its docstring
+# lists.
 _BLOCK = 1 << 14
+# Trials per chunk when a worker thread draws: it fills the next chunk's a1
+# and r (2 MiB for both chunks) in eight long GIL-free calls while the caller
+# evaluates this one.  Starting and joining the worker costs about 1 ms, and
+# in-process sweeps on 2 vCPUs put the break-even between 3 chunks (5-15%
+# slower) and 4 (within noise to 10% faster), so fewer chunks run inline.
+_CHUNK = 4 * _BLOCK
+_THREAD_CHUNKS = 4
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -111,23 +130,32 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     times, the float ``i-1``, two products and a sum 4 more, and the sum of
     terms ``n - 1``: ``c = 7`` to first order, the factor 2 covering the rest.
 
-    Trials run in blocks of ``_BLOCK``, each step in place in four buffers.
-    ``a1`` comes from ``default_rng(seed)``; ``r`` comes from a second such
-    generator advanced past the ``trials`` draws of ``a1`` (PCG64's jump-ahead),
-    or, when one block holds every trial, from the first generator after them.
-    Both are drawn into their buffers as ``random()``, then scaled and shifted
-    there, which is how ``uniform(lo, hi)`` computes ``lo + (hi - lo) * random()``.
-    Either way each trial sees the ``a1`` and ``r`` that drawing all of ``a1``
-    and then all of ``r`` as whole arrays would give it, and every element goes
-    through the same roundings in the same order, so the report does not
-    depend on the block size.  A block of fewer than ``_BLOCK // 2`` trials
-    computes its terms in a fifth buffer, 2-D tiles of at most ``_BLOCK``
-    elements, but still adds them one by one in factor order.  A full block
-    skips only passes that cannot change a bit of the report: the first
-    term is written into the sum rather than added to 0.0, which can change
-    only the sign of a zero, and ``abs`` clears that; a later coefficient of
-    exactly 1 or -1 adds or subtracts its term without the multiply (exact
-    in IEEE 754).
+    Trials are drawn in chunks and evaluated in blocks of ``_BLOCK``, each step
+    in place in preallocated buffers.  ``a1`` comes from ``default_rng(seed)``;
+    ``r`` comes from a second such generator advanced past the ``trials``
+    draws of ``a1`` (PCG64's jump-ahead), or, when one block holds every
+    trial, from the first generator after them.  Both are drawn into their
+    buffers as ``random()``, then scaled and shifted there, which is how
+    ``uniform(lo, hi)`` computes ``lo + (hi - lo) * random()``, and their
+    logs are taken in place.  A chunk is one block, or ``_CHUNK`` trials when
+    the check spans at least ``_THREAD_CHUNKS`` of them and the process may
+    run on two or more CPUs.  Then the caller draws the first chunk, and one
+    worker thread draws each next chunk into a second buffer while the caller
+    evaluates the current one; a draw the worker has not begun when the
+    caller needs it (no thread started, or no CPU free to run it) is made by
+    the caller.  The worker is joined before this returns or raises, and its
+    exception is raised here.  Each generator is drawn by one thread at a
+    time, in order, so each trial sees the ``a1`` and ``r`` that drawing all
+    of ``a1`` and then all of ``r`` as whole arrays would give it, and every
+    element goes through the same roundings in the same order: the report
+    does not depend on the block or chunk size, nor on which thread drew.  A
+    block of fewer than ``_BLOCK // 2`` trials computes its terms in a further
+    buffer, 2-D tiles of at most ``_BLOCK`` elements, but still adds them one
+    by one in factor order.  A full block skips only passes that cannot
+    change a bit of the report: the first term is written into the sum
+    rather than added to 0.0, which can change only the sign of a zero, and
+    ``abs`` clears that; a later coefficient of exactly 1 or -1 adds or
+    subtracts its term without the multiply (exact in IEEE 754).
     """
     factors = ident.lhs.factors + ident.rhs.factors
     try:
@@ -153,54 +181,107 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     if cfg.trials > _BLOCK:
         rng_r = np.random.default_rng(cfg.seed)
         rng_r.bit_generator.advance(cfg.trials)
-    log_a1, log_r, diff, term = np.empty((4, min(cfg.trials, _BLOCK)))
-    pass_count, peak = 0, 0.0
-    for start in range(0, cfg.trials, _BLOCK):
-        n = min(_BLOCK, cfg.trials - start)
-        a, r, d, t = log_a1[:n], log_r[:n], diff[:n], term[:n]
-        for g, out, (lo, hi) in ((rng, a, A1_RANGE), (rng_r, r, R_RANGE)):
+
+    def draw(buf, start):
+        """Draw the chunk at ``start``: ln a1 into ``buf[0]``, ln r into ``buf[1]``."""
+        n = min(chunk, cfg.trials - start)
+        for g, out, (lo, hi) in ((rng, buf[0, :n], A1_RANGE), (rng_r, buf[1, :n], R_RANGE)):
             # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
             g.random(out=out)
             out *= hi - lo
             out += lo
             np.log(out, out)
-        if n < _BLOCK // 2 or not coeffs:
-            # Per-call ufunc cost outweighs a short block's work, so its
-            # terms go in 2-D tiles of _BLOCK // n rows: three broadcast
-            # ufuncs per tile, then one addition per row in term order.
-            # np.add.reduce over a tile would sum each column pairwise.
-            # With no factors there are no tiles and every sum stays 0.
-            d.fill(0.0)
-            rows = _BLOCK // n
-            tile = np.empty((min(rows, len(factors)), n))
-            ks = np.array(steps, dtype=float)[:, None]
-            cs = np.array(coeffs)[:, None]
-            for j in range(0, len(factors), rows):
-                tt = tile[: len(factors) - j]
-                np.multiply(ks[j : j + rows], r, tt)
-                np.add(a, tt, tt)
-                np.multiply(cs[j : j + rows], tt, tt)
-                for row in tt:
-                    np.add(d, row, d)
-        else:
-            for j, (coeff, k) in enumerate(zip(coeffs, steps)):
-                np.multiply(k, r, t)
-                np.add(a, t, t)
-                if j == 0:  # 0.0 + x differs from x only at -0.0, which abs clears
-                    np.multiply(coeff, t, d)
-                elif coeff == 1.0:  # 1.0*x is x exactly
-                    np.add(d, t, d)
-                elif coeff == -1.0:  # d + -1.0*x is d - x exactly
-                    np.subtract(d, t, d)
+
+    chunk, jobs, size = _BLOCK, None, min(cfg.trials, _BLOCK)
+    if cfg.trials > (_THREAD_CHUNKS - 1) * _CHUNK and _cpu_count() > 1:
+        import queue
+        import threading
+
+        def work():
+            """Draw each ``(buf, start)`` taken from ``jobs``, until None."""
+            for job in iter(jobs.get, None):
+                try:
+                    draw(*job)
+                except BaseException as exc:  # handed to the caller, which raises it
+                    done.put(exc)
+                    return
+                done.put(None)
+
+        chunk, jobs, done = _CHUNK, queue.SimpleQueue(), queue.SimpleQueue()
+        worker = threading.Thread(target=work, name="geomprod-draws")
+        # the worker fills one chunk's a1 and r while the caller reads the other's
+        draws = list(np.empty((2, 2, _CHUNK)))
+        diff, term = np.empty((2, size))
+    else:  # a1, r, diff and term of one block, in one allocation
+        bufs = np.empty((4, size))
+        draws, diff, term = [bufs[:2]], bufs[2], bufs[3]
+    pass_count, peak = 0, 0.0
+    try:
+        if jobs is not None:
+            try:
+                worker.start()
+            except RuntimeError:  # no thread could start: the caller takes every draw
+                pass
+        for start in range(0, cfg.trials, _BLOCK):
+            n = min(_BLOCK, cfg.trials - start)
+            c, at = divmod(start, chunk)
+            if at == 0:
+                buf = draws[c % len(draws)]
+                if c == 0 or jobs is None:
+                    draw(buf, start)
                 else:
-                    np.multiply(coeff, t, t)
-                    np.add(d, t, d)
-        np.abs(d, d)
-        np.negative(d, d)
-        np.expm1(d, d)
-        np.negative(d, d)
-        pass_count += int(np.count_nonzero(d <= cfg.rel_tol))
-        peak = np.maximum(peak, d.max())  # keeps a NaN, as a whole-array max would
+                    try:
+                        job = jobs.get_nowait()
+                    except queue.Empty:  # the worker has taken this draw: wait for it
+                        if (failure := done.get()) is not None:
+                            raise failure
+                    else:  # not begun: no thread started, or no CPU was free for it
+                        draw(*job)
+                if jobs is not None and start + chunk < cfg.trials:
+                    jobs.put((draws[1 - c % 2], start + chunk))
+            a, r, d, t = buf[0, at : at + n], buf[1, at : at + n], diff[:n], term[:n]
+            if n < _BLOCK // 2 or not coeffs:
+                # Per-call ufunc cost outweighs a short block's work, so its
+                # terms go in 2-D tiles of _BLOCK // n rows: three broadcast
+                # ufuncs per tile, then one addition per row in term order.
+                # np.add.reduce over a tile would sum each column pairwise.
+                # With no factors there are no tiles and every sum stays 0.
+                d.fill(0.0)
+                rows = _BLOCK // n
+                tile = np.empty((min(rows, len(factors)), n))
+                ks = np.array(steps, dtype=float)[:, None]
+                cs = np.array(coeffs)[:, None]
+                for j in range(0, len(factors), rows):
+                    tt = tile[: len(factors) - j]
+                    np.multiply(ks[j : j + rows], r, tt)
+                    np.add(a, tt, tt)
+                    np.multiply(cs[j : j + rows], tt, tt)
+                    for row in tt:
+                        np.add(d, row, d)
+            else:
+                for j, (coeff, k) in enumerate(zip(coeffs, steps)):
+                    np.multiply(k, r, t)
+                    np.add(a, t, t)
+                    if j == 0:  # 0.0 + x differs from x only at -0.0, which abs clears
+                        np.multiply(coeff, t, d)
+                    elif coeff == 1.0:  # 1.0*x is x exactly
+                        np.add(d, t, d)
+                    elif coeff == -1.0:  # d + -1.0*x is d - x exactly
+                        np.subtract(d, t, d)
+                    else:
+                        np.multiply(coeff, t, t)
+                        np.add(d, t, d)
+            np.abs(d, d)
+            np.negative(d, d)
+            np.expm1(d, d)
+            np.negative(d, d)
+            pass_count += int(np.count_nonzero(d <= cfg.rel_tol))
+            peak = np.maximum(peak, d.max())  # keeps a NaN, as a whole-array max would
+    finally:
+        if jobs is not None:  # the worker is joined whether this returns or raises
+            jobs.put(None)
+            if worker.ident is not None:
+                worker.join()
     verdict = "pass" if pass_count == cfg.trials else "fail"
     return CheckReport(verdict, cfg.trials, pass_count, float(peak), 0)
 

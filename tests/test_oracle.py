@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,8 @@ from geomprod import (
     parse_identity,
     power,
 )
-from geomprod.oracle import _BLOCK, _MAX_LOG, A1_RANGE, R_RANGE
+from geomprod import oracle
+from geomprod.oracle import _BLOCK, _CHUNK, _MAX_LOG, A1_RANGE, R_RANGE
 
 from .support import equivalent_variant, random_exponent, random_product, same_total_variant
 
@@ -241,17 +243,42 @@ def reference_numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     return CheckReport(verdict, cfg.trials, pass_count, float(rel.max()), 0)
 
 
+@pytest.fixture
+def threaded(monkeypatch):
+    """Two CPUs, and a worker thread from two chunks up, so that every check
+    longer than one chunk draws on a worker even on a one-CPU host; yields
+    the list of the threads started."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "_THREAD_CHUNKS", 2)
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
 class TestBlockedSampling:
-    """Blocks of ``_BLOCK`` trials give the whole-array report bit for bit."""
+    """Blocks of ``_BLOCK`` trials, and chunks of ``_CHUNK`` drawn on a worker
+    thread, give the whole-array report bit for bit."""
 
     # Blocks under _BLOCK // 2 trials go in tiles of _BLOCK // n terms: with
     # 45 factors on its left, `many` spans over 22 tiles at _BLOCK // 2 - 1
     # trials and over 2 at 1000; _BLOCK + 1 trials leave a one-trial block.
+    # Past _CHUNK a worker draws every chunk after the first: _CHUNK + 1
+    # leaves it a one-trial chunk, and 2 * _CHUNK + _BLOCK // 2 - 1 ends in a
+    # tiled block.
     @pytest.mark.parametrize(
         "trials",
-        [1, 100, 1000, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7],
+        [
+            1, 100, 1000, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+            3 * _BLOCK + 7, _CHUNK, _CHUNK + 1, 2 * _CHUNK + _BLOCK // 2 - 1,
+        ],
     )
-    def test_reports_equal_whole_array_evaluation(self, trials):
+    def test_reports_equal_whole_array_evaluation(self, trials, threaded):
         many_rng = random.Random(f"many {trials}")
         many = normalize([(i, random_exponent(many_rng)) for i in range(1, 46)])
         idents = [
@@ -277,6 +304,9 @@ class TestBlockedSampling:
             for seed in (0, 5, 2**40 + 3):
                 cfg = OracleConfig(trials=trials, seed=seed)
                 assert repr(numeric_check(ident, cfg)) == repr(reference_numeric_check(ident, cfg))
+        # a worker for each check that samples and spans more than one chunk
+        sampled = sum(numeric_check(i, OracleConfig(trials=1)).skipped == 0 for i in idents)
+        assert threaded == ["geomprod-draws"] * (3 * sampled if trials > _CHUNK else 0)
 
     def test_in_place_draws_equal_uniform(self):
         # numeric_check scales and shifts random() in place, as uniform()
@@ -303,6 +333,100 @@ class TestBlockedSampling:
             tracemalloc.stop()
         assert report.verdict == "pass"
         assert peak < 4 * 2**20
+
+
+def _bounded(call, timeout=60.0):
+    """``call()`` on a helper thread: its result or the exception it raised.
+    A deadlock fails the test after ``timeout`` seconds instead of hanging it."""
+    box = []
+
+    def run():
+        try:
+            box.append(call())
+        except BaseException as exc:  # handed to the test, which checks its type
+            box.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), "numeric_check did not return"
+    return box[0]
+
+
+class TestWorkerThread:
+    """A threaded check leaves no thread behind and raises what was raised."""
+
+    IDENT = parse_identity("a10^(1/2) * a20^(3/4+pi) * a30 = a9^(1/4) * a11^(1/4) * a20^(3/4+pi) * a30")
+    CFG = OracleConfig(trials=3 * _CHUNK + 5, seed=17)
+
+    def test_exception_in_worker_reaches_caller(self, threaded, monkeypatch):
+        import numpy as np
+
+        expected = numeric_check(self.IDENT, self.CFG)
+        log, expm1 = np.log, np.expm1
+        callers, worker_drew = [], threading.Event()
+
+        def log_off_caller(*args):
+            if threading.current_thread() is not callers[0]:
+                worker_drew.set()
+                raise MemoryError("worker")
+            return log(*args)
+
+        def expm1_after_worker(*args):
+            # the caller waits in its first block until the worker has taken
+            # a draw, so that it cannot make every draw itself
+            worker_drew.wait(30)
+            return expm1(*args)
+
+        monkeypatch.setattr(np, "log", log_off_caller)
+        monkeypatch.setattr(np, "expm1", expm1_after_worker)
+        before = threading.active_count()
+
+        def call():
+            callers.append(threading.current_thread())
+            return numeric_check(self.IDENT, self.CFG)
+
+        raised = _bounded(call)
+        assert isinstance(raised, MemoryError) and str(raised) == "worker"
+        assert "geomprod-draws" in threaded and threading.active_count() == before
+        monkeypatch.setattr(np, "log", log)
+        monkeypatch.setattr(np, "expm1", expm1)
+        assert repr(numeric_check(self.IDENT, self.CFG)) == repr(expected)
+
+    def test_interrupt_in_caller_joins_worker(self, threaded, monkeypatch):
+        import numpy as np
+
+        expected = numeric_check(self.IDENT, self.CFG)
+        expm1 = np.expm1
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "expm1", interrupted)
+        before = threading.active_count()
+        raised = _bounded(lambda: numeric_check(self.IDENT, self.CFG))
+        assert isinstance(raised, KeyboardInterrupt)
+        assert "geomprod-draws" in threaded and threading.active_count() == before
+        monkeypatch.setattr(np, "expm1", expm1)
+        assert repr(numeric_check(self.IDENT, self.CFG)) == repr(expected)
+
+    def test_runs_inline_when_no_thread_starts(self, threaded, monkeypatch):
+        expected = numeric_check(self.IDENT, self.CFG)
+        before = threading.active_count()
+
+        refused = []
+
+        def refuse(thread):
+            refused.append(thread.name)
+            raise RuntimeError("can't start new thread")
+
+        def call():
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            return numeric_check(self.IDENT, self.CFG)
+
+        assert repr(_bounded(call)) == repr(expected)
+        assert refused == ["geomprod-draws"]
+        assert threading.active_count() == before
 
 
 class TestTermByTermEvaluation:
