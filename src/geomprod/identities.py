@@ -17,13 +17,13 @@ Everything here manufactures or certifies equal-product identities:
 * :func:`verify_identity` is the equivalence decision with both signatures
   as witness.
 
-Enumerators walk the search tree with an explicit stack, so their depth is
-not limited by the interpreter's recursion limit.  At every level the
+Both enumerators share one explicit-stack walker, so their depth is not
+limited by the interpreter's recursion limit.  At every level the
 remaining sum must stay between the smallest and largest completion of the
 slots still open (the interval bounds of restricted partitions, Andrews,
 *The Theory of Partitions*, ch. 3).  Both bounds are linear in the next
 candidate, so each level solves them for its first and last feasible
-candidate instead of testing candidates one by one.  The stack stops three
+candidate instead of testing candidates one by one.  The walk stops three
 levels short of a row: one pass per prefix fills the last three slots of a
 family, or the next base of a decomposition together with its last two
 bases, and the last slot or base is forced by what remains.  A walk
@@ -44,7 +44,7 @@ it sees them, so a pause would only move that work past the end of the call.
 from __future__ import annotations
 
 import gc
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,6 +165,40 @@ class Verdict:
         return self.verified
 
 
+def _walk(levels: int, root: tuple, choices: Callable, last: Callable) -> None:
+    """Depth-first walk over ``levels`` levels of choices, with an explicit stack.
+
+    ``choices(*state)`` yields ``(value, child_state)`` pairs for one level,
+    starting from ``root``; ``last(prefix, *state)`` runs at every node
+    ``levels`` deep, ``prefix`` holding the values chosen on the way down.
+    With ``levels <= 0`` the walk is the single call ``last((), *root)``.
+    """
+    if levels <= 0:
+        last((), *root)
+        return
+    # One value per level, shared by the whole walk so that a deep walk holds
+    # O(levels) state; a prefix tuple per level would hold O(levels^2).
+    acc: list = []
+    stack = [choices(*root)]
+    while stack:
+        depth = len(stack)
+        if depth == levels:
+            # The deepest level runs as one plain loop below a fixed prefix.
+            prefix = tuple(acc)
+            for value, state in stack.pop():
+                last(prefix + (value,), *state)
+            continue
+        # A shallower level breaks out after pushing a child and resumes
+        # from its iterator when the child is done.
+        for value, state in stack[-1]:
+            del acc[depth - 1 :]
+            acc.append(value)
+            stack.append(choices(*state))
+            break
+        else:
+            stack.pop()
+
+
 def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
     """All index multisets of size ``t`` with the requested subscript sum.
 
@@ -195,41 +229,24 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
         s = query.subscript_sum
         return [(v, s - v) for v in candidates(1, 2, s)]
 
-    out: list[tuple[int, ...]] = []
-    # One value per filled slot, shared by the whole walk so that a deep
-    # query holds O(t) state; a prefix tuple per level would hold O(t^2).
-    acc: list[int] = []
-    stack: list[tuple[Iterator[int], int]] = []  # (candidates, remaining) per open slot
+    def children(min_value: int, slots: int, remaining: int) -> Iterator[tuple[int, tuple]]:
+        # candidates() with the state each value leaves the next slot
+        for v in candidates(min_value, slots, remaining):
+            yield v, (v + step, slots - 1, remaining - v)
 
-    def last_three(min_value: int, r: int) -> None:
+    out: list[tuple[int, ...]] = []
+
+    def last_three(pre: tuple, min_value: int, _: int, r: int) -> None:
         # The last three slots in one pass: the middle value w ranges over
         # candidates(v + step, 2, r - v), spelled out, and the last takes
         # what remains.
-        pre = tuple(acc)
         out.extend([
             pre + (v, w, r - v - w)
             for v in candidates(min_value, 3, r)
             for w in range(max(v + step, r - v - l), (r - v - step) // 2 + 1)
         ])
 
-    # last_three is a function of its own: a comprehension inside open_slot
-    # would make open_slot's arguments closure cells, paid for at every step.
-    def open_slot(min_value: int, remaining: int) -> None:
-        if len(acc) < t - 3:
-            stack.append((iter(candidates(min_value, t - len(acc), remaining)), remaining))
-        else:
-            last_three(min_value, remaining)
-
-    open_slot(1, query.subscript_sum)
-    while stack:
-        values, remaining = stack[-1]
-        v = next(values, None)
-        if v is None:
-            stack.pop()
-            continue
-        del acc[len(stack) - 1 :]
-        acc.append(v)
-        open_slot(v + step, remaining - v)
+    _walk(t - 3, (1, t, query.subscript_sum), children, last_three)
     return out
 
 
@@ -288,11 +305,12 @@ def decompose(
 
     def choices(
         min_index: int, rest: int, weight_left: int, sum_left: int
-    ) -> Iterator[tuple[int, int]]:
+    ) -> Iterator[tuple[tuple[int, int], tuple[int, int, int, int]]]:
         # Pairs (b, w) for the next base that leave the other ``rest`` bases
-        # a completable remainder.  Its smallest completion gives weight 1 to
-        # b+2 .. b+rest and the surplus cw - w to b+1; its largest gives
-        # weight 1 to l-rest+1 .. l-1 and the surplus to l:
+        # a completable remainder, each beside the state it leaves them.
+        # The remainder's smallest completion gives weight 1 to b+2 .. b+rest
+        # and the surplus cw - w to b+1; its largest gives weight 1 to
+        # l-rest+1 .. l-1 and the surplus to l:
         #   sum_left - w*b >= (cw - w)*(b + 1) + sum(b+2 .. b+rest)
         #   sum_left - w*b <= (cw - w)*l + sum(l-rest+1 .. l-1)
         # Both are linear in w and give the weight range of each base; the
@@ -306,12 +324,9 @@ def decompose(
         for b in range(max(min_index, l - slack), last + 1):
             heaviest = min(cw - 1, slack // (l - b))
             for w in range(max(1, weight_left * b + low), heaviest + 1):
-                yield b, w
+                yield (b, w), (b + 1, rest - 1, weight_left - w, sum_left - w * b)
 
     out: list[Decomposition] = []
-    acc: list[tuple[int, int]] = []  # one (b, w) per filled slot, O(parts) state
-    # (choices, weight left, sum left) per open slot
-    stack: list[tuple[Iterator[tuple[int, int]], int, int]] = []
 
     def last_two(prefix: tuple, heads: list[tuple[tuple, int, int, int]]) -> None:
         # The last base and weight are forced: with rem = sum_left - W*b for
@@ -330,11 +345,11 @@ def decompose(
                     if rem % w_last == 0:
                         out.append(_decomposition(head + ((b, w), (b + rem // w_last, w_last))))
 
-    def last_three(min_index: int, weight_left: int, sum_left: int) -> None:
+    def last_three(prefix: tuple, min_index: int, _: int, weight_left: int, sum_left: int) -> None:
         # The last three bases in one pass: the pairs (b, w) of choices() at
         # rest = 2, spelled out, each with what it leaves for last_two().
         slack = weight_left * l - 1 - sum_left
-        last_two(tuple(acc), [
+        last_two(prefix, [
             (((b, w),), b + 1, weight_left - w, sum_left - w * b)
             for b in range(max(min_index, l - slack), min(l - 2, (sum_left - 3) // weight_left) + 1)
             for w in range(
@@ -342,29 +357,11 @@ def decompose(
             )
         ])
 
-    # last_three is a function of its own, as in enumerate_family.
-    def open_slot(min_index: int, weight_left: int, sum_left: int) -> None:
-        rest = parts - 1 - len(acc)
-        if rest > 2:
-            stack.append((choices(min_index, rest, weight_left, sum_left), weight_left, sum_left))
-        else:
-            last_three(min_index, weight_left, sum_left)
-
     with _collector_paused():
         if parts == 2:
             last_two((), [((), 1, t, subscript_sum)])
         else:
-            open_slot(1, t, subscript_sum)
-        while stack:
-            pairs, weight_left, sum_left = stack[-1]
-            pair = next(pairs, None)
-            if pair is None:
-                stack.pop()
-                continue
-            del acc[len(stack) - 1 :]
-            acc.append(pair)
-            b, w = pair
-            open_slot(b + 1, weight_left - w, sum_left - w * b)
+            _walk(parts - 3, (1, parts - 1, t, subscript_sum), choices, last_three)
     return out
 
 

@@ -144,6 +144,23 @@ class TestEnumerateFamily:
             (1,) * 1200
         ]
 
+    def test_deep_family_that_branches(self):
+        # 1197 walk levels that backtrack at several of them: each partition
+        # of 5 turns one trailing 1 per part p into 1 + p
+        def partitions(n, largest):
+            if n == 0:
+                yield ()
+            for p in range(min(n, largest), 0, -1):
+                for rest in partitions(n - p, p):
+                    yield (p,) + rest
+
+        expect = sorted(
+            (1,) * (1200 - len(ps)) + tuple(sorted(1 + p for p in ps))
+            for ps in partitions(5, 5)
+        )
+        assert len(expect) == 7
+        assert enumerate_family(FamilyQuery(1200, 1205, 1200, repetition=True)) == expect
+
 
 class TestShiftIdentity:
     def test_shift_down(self):
@@ -220,11 +237,15 @@ class TestDecompose:
                 assert equivalent(d.to_product(), reference)
 
     def test_brute_force_cross_check(self):
-        def brute(t, n, l):
-            """Every form with n bases in [1, l] and total weight t, by sum."""
-            weightings = [
-                w for w in itertools.product(range(1, t + 1), repeat=n) if sum(w) == t
+        def compositions(t, n):
+            """Every weighting of n bases with total weight t."""
+            return [
+                tuple(b - a for a, b in zip((0,) + cuts, cuts + (t,)))
+                for cuts in itertools.combinations(range(1, t), n - 1)
             ]
+
+        def brute(weightings, n, l):
+            """Every form with n bases in [1, l] and the given weightings, by sum."""
             found = {}
             for bases in itertools.combinations(range(1, l + 1), n):
                 for weights in weightings:
@@ -233,12 +254,15 @@ class TestDecompose:
             return {s: sorted(rows) for s, rows in found.items()}
 
         # t = 6 reaches every path: one part, the last pair alone, the
-        # three-base pass, and that pass under one to three stack levels
+        # three-base pass, and that pass under one to three walk levels;
+        # t = 7 puts it under four
         grid = [(t, l) for l in range(1, 10) for t in range(1, 6)]
         grid += [(6, l) for l in range(1, 9)]
+        grid += [(7, l) for l in range(1, 8)]
+        weightings = {(t, n): compositions(t, n) for t in range(1, 8) for n in range(1, t + 1)}
         for t, l in grid:
             for n in range(1, t + 1):
-                expect = brute(t, n, l)
+                expect = brute(weightings[t, n], n, l)
                 for s in range(1, t * l + 2):
                     got = [d.parts for d in decompose(t, s, n, l)]
                     assert got == expect.get(s, []), (t, s, n, l)
