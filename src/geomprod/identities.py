@@ -25,10 +25,12 @@ slots still open (the interval bounds of restricted partitions, Andrews,
 candidate, so each level solves them for its first and last feasible
 candidate instead of testing candidates one by one.  The walk stops three
 levels short of a row: one pass per prefix fills the last three slots of a
-family, or the next base of a decomposition together with its last two
-bases, and the last slot or base is forced by what remains.  A walk
-therefore costs in proportion to the rows it returns times ``t``, not to
-``max_index``, and its output matches a brute-force filter.
+family, or the next base of a decomposition with its last two bases.  The
+last slot takes what remains; the last weight d of a decomposition runs
+down from the largest that leaves room to the least that keeps its base
+within ``max_index``, and a row is kept when d divides what remains.  A
+walk therefore costs in proportion to the rows it returns times ``t``,
+not to ``max_index``, and its output matches a brute-force filter.
 All listings come out in lexicographic order and are byte-reproducible.
 
 :func:`decompose` runs its walk with the cyclic garbage collector paused and
@@ -329,32 +331,30 @@ def decompose(
     out: list[Decomposition] = []
 
     def last_two(prefix: tuple, heads: list[tuple[tuple, int, int, int]]) -> None:
-        # The last base and weight are forced: with rem = sum_left - W*b for
-        # W = weight_left, the pair (b, w) leaves b_last = b + rem / (W - w),
-        # so it is kept iff W - w divides rem.  The ranges are those of
-        # choices() at rest = 1, spelled out without a pair per candidate.
-        # Each head's tuple is built here, so that a deep walk holds one
-        # O(parts) tuple at a time.
-        for lead, min_index, weight_left, sum_left in heads:
-            head = prefix + lead
-            slack = weight_left * l - sum_left
-            for b in range(max(min_index, l - slack), min(l - 1, (sum_left - 1) // weight_left) + 1):
-                rem = sum_left - weight_left * b
-                for w in range(max(1, weight_left - rem), min(weight_left - 1, slack // (l - b)) + 1):
-                    w_last = weight_left - w
-                    if rem % w_last == 0:
-                        out.append(_decomposition(head + ((b, w), (b + rem // w_last, w_last))))
+        # The last pair is forced: with W and S the weight and sum left and
+        # rem = S - W*b, a last weight d puts the last base at b + rem / d,
+        # kept iff d divides rem.  d runs down from min(W - 1, rem) to the
+        # least d with b + rem / d <= l; b runs over choices() at rest = 1.
+        # Each head's tuple is built once, so a deep walk holds one O(parts) prefix.
+        out.extend([
+            _decomposition(head + ((b, W - d), (b + rem // d, d)))
+            for lead, min_index, W, S in heads
+            for head, first, last in ((prefix + lead, l + S - W * l, (S - 1) // W),)
+            for b in range(first if first > min_index else min_index, (last if last < l else l - 1) + 1)
+            for rem in (S - W * b,)
+            for d in range(W - 1 if rem >= W else rem, (rem - 1) // (l - b), -1)
+            if rem % d == 0
+        ])
 
-    def last_three(prefix: tuple, min_index: int, _: int, weight_left: int, sum_left: int) -> None:
+    def last_three(prefix: tuple, min_index: int, _: int, W: int, S: int) -> None:
         # The last three bases in one pass: the pairs (b, w) of choices() at
         # rest = 2, spelled out, each with what it leaves for last_two().
-        slack = weight_left * l - 1 - sum_left
         last_two(prefix, [
-            (((b, w),), b + 1, weight_left - w, sum_left - w * b)
-            for b in range(max(min_index, l - slack), min(l - 2, (sum_left - 3) // weight_left) + 1)
-            for w in range(
-                max(1, weight_left * (b + 1) + 1 - sum_left), min(weight_left - 2, slack // (l - b)) + 1
-            )
+            (((b, w),), b + 1, W - w, S - w * b)
+            for slack, first, last in ((W * l - 1 - S, l + 1 + S - W * l, (S - 3) // W),)
+            for b in range(first if first > min_index else min_index, (last if last < l - 2 else l - 2) + 1)
+            for lo, hi in ((W * (b + 1) + 1 - S, slack // (l - b)),)
+            for w in range(lo if lo > 1 else 1, (hi if hi < W - 2 else W - 2) + 1)
         ])
 
     with _collector_paused():

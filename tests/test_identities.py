@@ -253,19 +253,33 @@ class TestDecompose:
                     found.setdefault(s, []).append(tuple(zip(bases, weights)))
             return {s: sorted(rows) for s, rows in found.items()}
 
-        # t = 6 reaches every path: one part, the last pair alone, the
-        # three-base pass, and that pass under one to three walk levels;
-        # t = 7 puts it under four
-        grid = [(t, l) for l in range(1, 10) for t in range(1, 6)]
-        grid += [(6, l) for l in range(1, 9)]
-        grid += [(7, l) for l in range(1, 8)]
-        weightings = {(t, n): compositions(t, n) for t in range(1, 8) for n in range(1, t + 1)}
-        for t, l in grid:
-            for n in range(1, t + 1):
-                expect = brute(weightings[t, n], n, l)
+        # (t, l, most parts): t = 6 reaches every path (one part, the last
+        # pair alone, the three-base pass, and that pass under one to three
+        # walk levels) and t = 7 puts the pass under four; the benchmark's
+        # weights, t = 9 and 10, give last weights up to t - 1, past any
+        # that t <= 7 reaches
+        grid = [(t, l, t) for l in range(1, 10) for t in range(1, 6)]
+        grid += [(6, l, 6) for l in range(1, 9)]
+        grid += [(7, l, 7) for l in range(1, 8)]
+        grid += [(t, l, 5) for t in (9, 10) for l in range(1, 9)]
+        for t, l, most in grid:
+            for n in range(1, most + 1):
+                expect = brute(compositions(t, n), n, l)
                 for s in range(1, t * l + 2):
                     got = [d.parts for d in decompose(t, s, n, l)]
                     assert got == expect.get(s, []), (t, s, n, l)
+
+    def test_wide_two_part_query(self):
+        # every first pair at a large total weight, the second base forced
+        t, s, l = 200, 20000, 150
+        expect = []
+        for b1 in range(1, l + 1):
+            for w1 in range(1, t):
+                b2, r = divmod(s - w1 * b1, t - w1)
+                if r == 0 and b1 < b2 <= l:
+                    expect.append(((b1, w1), (b2, t - w1)))
+        assert len(expect) == 440
+        assert [d.parts for d in decompose(t, s, 2, l)] == expect
 
     def test_sparse_at_large_index(self):
         l = 10**5
