@@ -161,10 +161,11 @@ def _cmd_canon(args) -> _Result:
     p = parse_product(args.product)
     sig = signature(p)
     sig_line = f"signature: T={sig.total}, S={sig.weighted_sum}"
-    lines = [f"canonical: {render(p)}", sig_line]
+    text = render(p)
+    lines = [f"canonical: {text}", sig_line]
     latex = [f"canonical: {render(p, 'latex')}", sig_line]
     payload = {
-        "canonical": render(p),
+        "canonical": text,
         "signature": sig.to_json_dict(),
         **p.to_json_dict(),
     }

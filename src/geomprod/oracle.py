@@ -26,8 +26,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .identities import Identity
-from .model import SequenceSpec, _as_int, _as_real, equivalent, evaluate, signature
+from .identities import FamilyQuery, Identity
+from .model import SequenceSpec, _as_int, _as_real, evaluate, signature
 
 __all__ = [
     "OracleConfig",
@@ -293,19 +293,19 @@ def brute_force_family(
 
     Intentionally small-scale (max_index <= 15, t <= 5); anything larger is
     refused because this exists to check the closed-form enumerators, not to
-    replace them.
+    replace them.  The arguments are validated as the fields of a
+    :class:`FamilyQuery`.
     """
-    if t < 1 or max_index < 1:
-        raise ValueError("tuple size and max index must be >= 1")
-    if max_index > _BRUTE_MAX_INDEX or t > _BRUTE_MAX_SIZE:
+    query = FamilyQuery(t, subscript_sum, max_index, repetition)
+    if query.max_index > _BRUTE_MAX_INDEX or query.t > _BRUTE_MAX_SIZE:
         raise ValueError(
             f"brute-force enumeration is limited to max_index <= {_BRUTE_MAX_INDEX} "
             f"and t <= {_BRUTE_MAX_SIZE}"
         )
     combine = (
-        itertools.combinations_with_replacement if repetition else itertools.combinations
+        itertools.combinations_with_replacement if query.repetition else itertools.combinations
     )
-    return [c for c in combine(range(1, max_index + 1), t) if sum(c) == subscript_sum]
+    return [c for c in combine(range(1, query.max_index + 1), query.t) if sum(c) == query.subscript_sum]
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def degenerate_probe(ident: Identity, a1: float = 2.0) -> DegenerateReport:
     lhs_value = evaluate(ident.lhs, seq)
     rhs_value = evaluate(ident.rhs, seq)
     coincide = lhs_value == rhs_value
-    same = equivalent(ident.lhs, ident.rhs)
+    same = lhs_sig == rhs_sig
     return DegenerateReport(
         lhs_value=lhs_value,
         rhs_value=rhs_value,

@@ -215,6 +215,10 @@ class TestDecompose:
             decompose(2, 8, 3, 8)  # more parts than weight
         with pytest.raises(ValueError):
             decompose(0, 8, 1, 8)
+        with pytest.raises(ValueError, match="subscript sum must be >= 1"):
+            decompose(2, 0, 1, 8)
+        with pytest.raises(ValueError, match="max index must be >= 1"):
+            decompose(2, 8, 1, 0)
 
     def test_single_base_feasibility_rule(self):
         l = 8

@@ -459,6 +459,16 @@ class TestBruteForceFamily:
             brute_force_family(2, 7, 16)
         with pytest.raises(ValueError):
             brute_force_family(6, 21, 10)
+        # and, with FamilyQuery's messages, what FamilyQuery refuses
+        for args, err, msg in [
+            ((0, 7, 6), ValueError, "tuple size must be >= 1"),
+            ((2, 0, 6), ValueError, "subscript sum must be >= 1"),
+            ((2, 7, 0), ValueError, "max index must be >= 1"),
+            ((2, 7.0, 6), TypeError, "subscript_sum must be an integer"),
+            ((2, 8, 6, "no"), TypeError, "repetition must be a bool"),
+        ]:
+            with pytest.raises(err, match=msg):
+                brute_force_family(*args)
 
     def test_agrees_with_backtracking_enumerator(self):
         for l in (4, 8, 11):
