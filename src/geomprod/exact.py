@@ -16,7 +16,7 @@ without coercing them again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["ExactExponent", "as_rational"]
@@ -40,15 +40,43 @@ class ExactExponent:
     Immutable and hashable; supports addition, subtraction, negation and
     scaling by a rational (:meth:`scale`).  The canonical text form is
     ``"q"``, ``"p*pi"`` or ``"q+p*pi"`` with the sign of the pi term folded
-    into the joining operator, e.g. ``"2-5*pi"``.
+    into the joining operator, e.g. ``"2-5*pi"``; :meth:`to_latex` writes
+    ``"q"``, ``"p\\pi"`` or ``"q+p\\pi"`` with a unit coefficient of pi
+    left out, e.g. ``"-\\pi"``.
+
+    An exponent keeps two texts, its canonical text and its LaTeX text, in
+    the private fields ``_text`` and ``_latex``.  Each is written on first
+    use and read from then on, so exponents that factors share (the
+    parser's, :data:`ONE`) are written once, not once per render.  A text
+    longer than 640 characters is returned but not kept:
+    ``sys.set_int_max_str_digits`` takes 0 or at least 640, so every kept
+    text converts under any limit, and a longer one is written afresh each
+    time, where a lowered limit still raises :class:`ValueError`.  The
+    texts take no part in ``repr``, comparison, hashing or pickling.  Two
+    threads may both write a text first; each stores the same string, so
+    either write is harmless.
     """
 
     rat: Fraction = Fraction(0)
     pi: Fraction = Fraction(0)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _latex: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _set_rat(self, as_rational(self.rat))
         _set_pi(self, as_rational(self.pi))
+
+    # The state is the two components alone: a pickle carries no text, and
+    # a two-component state loads whichever version wrote it.
+    def __getstate__(self) -> list[Fraction]:
+        return [self.rat, self.pi]
+
+    def __setstate__(self, state: list[Fraction]) -> None:
+        rat, pi = state
+        _set_rat(self, rat)
+        _set_pi(self, pi)
+        _set_text(self, None)
+        _set_latex(self, None)
 
     # A zero component is added or subtracted without Fraction arithmetic:
     # parsed exponents are mostly purely rational or purely pi, and a
@@ -87,21 +115,51 @@ class ExactExponent:
         return float(self.rat) + float(self.pi) * math.pi
 
     def __str__(self) -> str:
-        if not self.pi:
-            return str(self.rat)
-        if not self.rat:
-            return f"{self.pi}*pi"
-        if self.pi < 0:
-            return f"{self.rat}-{-self.pi}*pi"
-        return f"{self.rat}+{self.pi}*pi"
+        text = self._text
+        if text is None:
+            rat, pi = self.rat, self.pi
+            if not pi:
+                text = str(rat)
+            elif not rat:
+                text = f"{pi}*pi"
+            elif pi < 0:
+                text = f"{rat}-{-pi}*pi"
+            else:
+                text = f"{rat}+{pi}*pi"
+            if len(text) <= _KEPT_MAX:
+                _set_text(self, text)
+        return text
+
+    def to_latex(self) -> str:
+        """LaTeX math for the exponent, e.g. ``"1/2"`` or ``"2-3\\pi"``."""
+        text = self._latex
+        if text is None:
+            rat, pi = self.rat, self.pi
+            if not pi:
+                text = str(rat)
+            else:
+                mag = abs(pi)
+                pi_part = "\\pi" if mag == 1 else f"{mag}\\pi"
+                if not rat:
+                    text = pi_part if pi > 0 else f"-{pi_part}"
+                else:
+                    text = f"{rat}{'+' if pi > 0 else '-'}{pi_part}"
+            if len(text) <= _KEPT_MAX:
+                _set_latex(self, text)
+        return text
 
     def to_json_dict(self) -> dict[str, str]:
         return {"rat": str(self.rat), "pi": str(self.pi)}
 
 
+# The longest text an exponent keeps: the smallest nonzero digit limit.
+_KEPT_MAX = 640
+
 _new = object.__new__
 _set_rat = ExactExponent.__dict__["rat"].__set__
 _set_pi = ExactExponent.__dict__["pi"].__set__
+_set_text = ExactExponent.__dict__["_text"].__set__
+_set_latex = ExactExponent.__dict__["_latex"].__set__
 
 
 def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
@@ -113,6 +171,8 @@ def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
     e = _new(ExactExponent)
     _set_rat(e, rat)
     _set_pi(e, pi)
+    _set_text(e, None)
+    _set_latex(e, None)
     return e
 
 

@@ -40,7 +40,8 @@ characters, which keeps it small and keeps every entry valid under any
 ``sys.set_int_max_str_digits``: that limit is 0 or at least 640 digits, so
 a spelling that long always converts, and a longer one is read afresh
 each time, where a lowered limit still makes it a :class:`ParseError`.
-:func:`render` likewise writes each exponent object once per call.
+Each exponent keeps the text :func:`render` writes for it, in either
+style, so a shared exponent is written once, not once per render.
 """
 
 from __future__ import annotations
@@ -300,21 +301,10 @@ def parse_identity(text: str) -> Identity:
     return Identity(normalize(lhs), normalize(rhs))
 
 
-def _exponent_latex(e: ExactExponent) -> str:
-    if not e.pi:
-        return str(e.rat)
-    mag = abs(e.pi)
-    pi_part = "\\pi" if mag == 1 else f"{mag}\\pi"
-    if not e.rat:
-        return pi_part if e.pi > 0 else f"-{pi_part}"
-    joiner = "+" if e.pi > 0 else "-"
-    return f"{e.rat}{joiner}{pi_part}"
-
-
 # style -> (term, powered term, joiner, exponent writer)
 _STYLES = {
-    "text": ("a{}", "a{}^({})", "*", str),
-    "latex": ("a_{{{}}}", "a_{{{}}}^{{{}}}", " \\cdot ", _exponent_latex),
+    "text": ("a{}", "a{}^({})", "*", ExactExponent.__str__),
+    "latex": ("a_{{{}}}", "a_{{{}}}^{{{}}}", " \\cdot ", ExactExponent.to_latex),
 }
 
 
@@ -330,17 +320,10 @@ def render(p: StringProduct, style: str = "text") -> str:
         raise ValueError(f"unknown render style {style!r}") from None
     if p.is_empty():
         return "1"
-    # Exponent text by exponent object, "" for the unit exponent.  Factors
-    # share exponent objects (the scanner's table, ONE), and ``p`` keeps
-    # every one alive for the whole call, so no id is reused within it.
-    written: dict[int, str] = {}
     out = []
     for f in p.factors:
-        e = f.exponent
-        text = written.get(id(e))
-        if text is None:
-            text = written[id(e)] = "" if not e.pi and e.rat == 1 else exponent(e)
-        out.append(powered.format(f.index, text) if text else term.format(f.index))
+        text = exponent(f.exponent)
+        out.append(term.format(f.index) if text == "1" else powered.format(f.index, text))
     return joiner.join(out)
 
 

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +423,115 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("verified:")
+
+
+def _counting():
+    """``perfbench/counting.py``: row counts computed without geomprod."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "counting.py"
+    spec = importlib.util.spec_from_file_location("perfbench_counting", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _numeric_pass(trials: int):
+    return lambda doc: doc["numeric"]["verdict"] == "pass" and doc["numeric"]["trials"] == trials
+
+
+def _decompose_rows(n: int, *query: int):
+    return lambda doc: len(doc) == n == _counting().decompose_count(*query)
+
+
+def _family_rows(n: int, *query):
+    return lambda doc: len(doc) == n == _counting().family_count(*query)
+
+
+_JSON = ["-m", "geomprod", "--format", "json"]
+_DECOMPOSE = [*_JSON, "decompose", "--t"]
+_FAMILY = [*_JSON, "family", "--t"]
+
+# One child interpreter per row: its arguments, its exit code, and a check
+# on the one JSON document it prints (None: the exit code alone).
+_CHILD_RUNS = [
+    pytest.param(["-m", "geomprod", "check", "a4*a3 = a6*a1"], 0, None, id="check"),
+    # a product whose a1^T alone underflows
+    pytest.param(
+        ["-m", "geomprod", "eval", "a500*a499", "--a1", "1e-200", "--r", "2"], 0, None, id="eval-underflow"
+    ),
+    # the oracle's tiled short-block path
+    pytest.param(
+        [*_JSON, "check", "a3^(6pi) * a6^6 = a2^(5pi+2) * a8^(pi+4)", "--trials", "100"],
+        0, lambda doc: doc["numeric"]["verdict"] == "pass", id="numeric-tiled",
+    ),
+    # three blocks: both generators and every full-block shortcut (the first
+    # term into the sum, coefficients of 1 and -1 after it)
+    pytest.param(
+        [*_JSON, "check", "a1 * a7^-1 = a2 * a8^-1", "--trials", "40000", "--seed", "3"],
+        0, _numeric_pass(40000), id="numeric-blocks",
+    ),
+    # several chunks, drawn on a worker thread on two or more CPUs, ending
+    # in a short block
+    pytest.param(
+        [*_JSON, "check", "a1 * a7^-1 = a2 * a8^-1", "--trials", "300000", "--seed", "3"],
+        0, _numeric_pass(300000), id="numeric-chunks",
+    ),
+    # after a multi-chunk check only the main thread is left
+    pytest.param(
+        [
+            "-c",
+            "import threading, geomprod as g; "
+            "r = g.numeric_check(g.parse_identity('a2*a8 = a5^2'), g.OracleConfig(trials=600000)); "
+            "assert r.verdict == 'pass' and threading.active_count() == 1",
+        ],
+        0, None, id="numeric-threads-joined",
+    ),
+    pytest.param([*_JSON, "--help"], 0, lambda doc: True, id="json-help"),
+    pytest.param([*_JSON, "bogus"], 2, lambda doc: True, id="json-usage-error"),
+    # a dense four-part decompose, and one shaped like the benchmark's (t = 9)
+    pytest.param([*_DECOMPOSE, "10", "--sum", "60", "--parts", "4", "--max-index", "12"], 0,
+                 _decompose_rows(796, 10, 60, 4, 12), id="decompose-4-parts"),
+    pytest.param(
+        ["-c", "import gc, geomprod; geomprod.decompose(10, 60, 4, 12); assert gc.isenabled()"],
+        0, None, id="decompose-leaves-gc-enabled",
+    ),
+    pytest.param([*_DECOMPOSE, "9", "--sum", "72", "--parts", "4", "--max-index", "15"], 0,
+                 _decompose_rows(1270, 9, 72, 4, 15), id="decompose-4-parts-t9"),
+    # t = 5: the last three slots under two walk levels
+    pytest.param([*_FAMILY, "5", "--sum", "60", "--max-index", "30"], 0,
+                 _family_rows(2002, 5, 60, 30, False), id="family-t5"),
+    pytest.param([*_FAMILY, "5", "--sum", "60", "--max-index", "30", "--repetition"], 0,
+                 _family_rows(3783, 5, 60, 30, True), id="family-t5-repetition"),
+    # t = 7: four walk levels
+    pytest.param([*_FAMILY, "7", "--sum", "70", "--max-index", "20"], 0,
+                 _family_rows(2306, 7, 70, 20, False), id="family-t7"),
+    # six parts: three walk levels; three parts: the three-base pass with no
+    # walk level; two parts: the last pair alone
+    pytest.param([*_DECOMPOSE, "10", "--sum", "60", "--parts", "6", "--max-index", "12"], 0,
+                 _decompose_rows(3128, 10, 60, 6, 12), id="decompose-6-parts"),
+    pytest.param([*_DECOMPOSE, "10", "--sum", "75", "--parts", "3", "--max-index", "15"], 0,
+                 _decompose_rows(151, 10, 75, 3, 15), id="decompose-3-parts"),
+    pytest.param([*_DECOMPOSE, "10", "--sum", "60", "--parts", "2", "--max-index", "12"], 0,
+                 _decompose_rows(10, 10, 60, 2, 12), id="decompose-2-parts"),
+    # a zero denominator is an error with its position
+    pytest.param([*_JSON, "check", "a3^(1/0) = a3"], 2,
+                 lambda doc: doc["error"]["position"] == 6, id="zero-denominator"),
+    # an exponent body of several rationals and pi terms
+    pytest.param(
+        ["-m", "geomprod", "check", "a3^(1/2 + pi - 1/3) * a1^(1/6) = a3^(1/6 + pi) * a1^(1/6)"],
+        0, None, id="several-atoms",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, check", _CHILD_RUNS)
+def test_child_process(args, code, check):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    if check is not None:
+        assert check(json.loads(proc.stdout))
 
 
 # Exact (exit code, stdout, stderr) for every subcommand in each format, plus

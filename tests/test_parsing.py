@@ -1,6 +1,7 @@
 """Parser and renderer: grammar coverage, errors, round trips."""
 
 import copy
+import dataclasses
 import pickle
 import random
 import sys
@@ -399,6 +400,40 @@ def _with_own_exponents(p: StringProduct) -> StringProduct:
     )
 
 
+def _written(rat: Fraction, pi: Fraction) -> tuple[str, str]:
+    """An exponent's text and LaTeX, written from its two components alone."""
+    if not pi:
+        return str(rat), str(rat)
+    lead = str(rat) if rat else ""
+    sign = "-" if pi < 0 else "+" if rat else ""
+    mag = abs(pi)
+    return f"{lead}{sign}{mag}*pi", f"{lead}{sign}{'' if mag == 1 else mag}\\pi"
+
+
+def _rendered(p: StringProduct, style: str) -> str:
+    """``render(p, style)``, from :func:`_written` and the grammar alone."""
+    latex = style == "latex"
+    out = []
+    for f in p.factors:
+        e = f.exponent
+        if e.rat == 1 and not e.pi:
+            out.append(f"a_{{{f.index}}}" if latex else f"a{f.index}")
+        else:
+            text = _written(e.rat, e.pi)[latex]
+            out.append(f"a_{{{f.index}}}^{{{text}}}" if latex else f"a{f.index}^({text})")
+    return (" \\cdot " if latex else "*").join(out) or "1"
+
+
+# ExactExponent(Fraction(1, 2), -3) pickled at protocol 2 before exponents
+# kept their texts: its state is the two components.
+_TWO_FIELD_PICKLE = (
+    b"\x80\x02cgeomprod.exact\nExactExponent\nq\x00)\x81q\x01]q\x02(cfractions\nFraction\n"
+    b"q\x03K\x01K\x02\x86q\x04Rq\x05h\x03J\xfd\xff\xff\xffK\x01\x86q\x06Rq\x07eb."
+)
+_RATS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+_PIS = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-2, -1, 1, 3) for d in (1, 2)]
+
+
 class TestExponentTable:
     """The scanner's exponents by spelling: bounded, and invisible in results."""
 
@@ -449,7 +484,62 @@ class TestExponentTable:
             shared += len({id(f.exponent) for f in p.factors}) < len(p.factors)
             for style in ("text", "latex"):
                 assert render(p, style) == render(own, style)
-        assert shared > 100  # the memo in render is exercised
+        assert shared > 100  # shared exponent objects, whose text is kept, are exercised
+
+    def test_render_under_a_lower_digit_limit(self):
+        digits = "7" * 1000
+        with _int_digit_limit(4300):
+            p = parse_product(f"a3^({digits})*a4^(1/2)*a5^({digits}*pi)")
+            assert render(p) == f"a3^({digits})*a4^(1/2)*a5^({digits}*pi)"
+            assert render(p, "latex") == (
+                f"a_{{3}}^{{{digits}}} \\cdot a_{{4}}^{{1/2}} \\cdot a_{{5}}^{{{digits}\\pi}}"
+            )
+        with _int_digit_limit(640):
+            for style in ("text", "latex"):
+                with pytest.raises(ValueError):
+                    render(p, style)
+            assert render(normalize([(4, Fraction(1, 2))])) == "a4^(1/2)"
+
+    def test_kept_texts_match_a_writer_of_the_components(self):
+        assert render(parse_product("a3^(1/2)*a3^(1/2)")) == "a3"
+        assert render(parse_product("a3^(pi)*a3^(-pi)*a4")) == "a4"
+        rng = random.Random(2121)
+        for _ in range(2000):
+            terms = [
+                (rng.randint(1, 6), rng.choice(_RATS), rng.choice(_PIS))
+                for _ in range(rng.randint(1, 8))
+            ]
+            spellings = [
+                f"^{rat}" if not pi and rng.random() < 0.5 else f"^({_written(rat, pi)[0]})"
+                for _, rat, pi in terms
+            ]
+            scanned = parse_product("*".join(f"a{i}{sp}" for (i, _, _), sp in zip(terms, spellings)))
+            public = normalize([(i, ExactExponent(rat, pi)) for i, rat, pi in terms])
+            assert scanned == public
+            shifted = normalize(
+                [(f.index, dataclasses.replace(f.exponent, rat=f.exponent.rat + 1)) for f in scanned.factors]
+            )
+            for style in ("text", "latex"):
+                for p in (scanned, public):
+                    assert render(p, style) == _rendered(p, style)
+                # copies of exponents whose texts are kept, and replaced ones
+                for back in (pickle.loads(pickle.dumps(scanned)), copy.deepcopy(scanned)):
+                    assert render(back, style) == _rendered(scanned, style)
+                assert render(shifted, style) == _rendered(shifted, style)
+        assert len(parsing._EXPONENTS) > 100  # the scanner's table was read
+
+    def test_kept_texts_stay_out_of_the_value(self):
+        e = parse_product("a3^(1/2-3*pi)").factors[0].exponent
+        assert (str(e), e.to_latex()) == _written(Fraction(1, 2), Fraction(-3))
+        fresh = ExactExponent(Fraction(1, 2), -3)
+        assert repr(e) == repr(fresh) == "ExactExponent(rat=Fraction(1, 2), pi=Fraction(-3, 1))"
+        assert e == fresh and hash(e) == hash(fresh) == hash((Fraction(1, 2), Fraction(-3)))
+        assert ExactExponent.__match_args__ == ("rat", "pi")
+        assert e.__reduce_ex__(2)[2] == [Fraction(1, 2), Fraction(-3)]
+        old = pickle.loads(_TWO_FIELD_PICKLE)
+        assert old == e
+        assert render(normalize([(3, old)])) == "a3^(1/2-3*pi)"
+        assert render(normalize([(3, old)]), "latex") == "a_{3}^{1/2-3\\pi}"
 
 
 # Each text has at least 2*10^5 characters; a scanner that backtracks
