@@ -23,15 +23,16 @@ remaining sum must stay between the smallest and largest completion of the
 slots still open (the interval bounds of restricted partitions, Andrews,
 *The Theory of Partitions*, ch. 3).  Both bounds are linear in the next
 candidate, so each level solves them for its first and last feasible
-candidate instead of testing candidates one by one.  The walk stops three
-levels short of a row: one pass per prefix fills the last three slots of a
-family, or the next base of a decomposition with its last two bases.  The
-last slot takes what remains; the last weight d of a decomposition runs
-down from the largest that leaves room to the least that keeps its base
-within ``max_index``, and a row is kept when d divides what remains.  A
-family walk therefore costs in proportion to the rows it returns times
-``t``, not to ``max_index``; a decomposition also tests each d, two or three
-per row on dense queries but 365,516 for the 4,566 rows of
+candidate instead of testing candidates one by one.  The walk hands over
+its deepest level whole: one pass per batch of heads fills the last three
+slots of a family, or the last two bases of a decomposition, below each
+head.  A walk with no level to choose hands over one head with an empty
+value.  The last slot takes what remains; the last weight d of a
+decomposition runs down from the largest that leaves room to the least that
+keeps its base within ``max_index``, and a row is kept when d divides what
+remains.  A family walk therefore costs in proportion to the rows it returns
+times ``t``, not to ``max_index``; a decomposition also tests each d, two or
+three per row on dense queries but 365,516 for the 4,566 rows of
 ``decompose(1000, 600000, 2, 1000)``.  Output matches a brute-force filter.
 All listings come out in lexicographic order and are byte-reproducible.
 
@@ -173,12 +174,14 @@ def _walk(levels: int, root: tuple, choices: Callable, last: Callable) -> None:
     """Depth-first walk over ``levels`` levels of choices, with an explicit stack.
 
     ``choices(*state)`` yields ``(value, child_state)`` pairs for one level,
-    starting from ``root``; ``last(prefix, *state)`` runs at every node
-    ``levels`` deep, ``prefix`` holding the values chosen on the way down.
-    With ``levels <= 0`` the walk is the single call ``last((), *root)``.
+    starting from ``root``.  The deepest level is handed over whole:
+    ``last(prefix, heads)`` runs once for each iterator ``levels`` deep, with
+    ``heads`` that iterator of ``(value, state)`` pairs and ``prefix`` the
+    values chosen above it.  With ``levels <= 0`` the walk is the single call
+    ``last((), [((), root)])``: one head whose value is empty.
     """
     if levels <= 0:
-        last((), *root)
+        last((), [((), root)])
         return
     # One value per level, shared by the whole walk so that a deep walk holds
     # O(levels) state; a prefix tuple per level would hold O(levels^2).
@@ -187,10 +190,7 @@ def _walk(levels: int, root: tuple, choices: Callable, last: Callable) -> None:
     while stack:
         depth = len(stack)
         if depth == levels:
-            # The deepest level runs as one plain loop below a fixed prefix.
-            prefix = tuple(acc)
-            for value, state in stack.pop():
-                last(prefix + (value,), *state)
+            last(tuple(acc), stack.pop())
             continue
         # A shallower level breaks out after pushing a child and resumes
         # from its iterator when the child is done.
@@ -240,12 +240,15 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
 
     out: list[tuple[int, ...]] = []
 
-    def last_three(pre: tuple, min_value: int, _: int, r: int) -> None:
-        # The last three slots in one pass: the middle value w ranges over
-        # candidates(v + step, 2, r - v), spelled out, and the last takes
-        # what remains.
+    def last_three(prefix: tuple, heads: Iterable[tuple[int | tuple, tuple[int, int, int]]]) -> None:
+        # The last three slots in one pass per batch of heads: below each
+        # head, the middle value w ranges over candidates(v + step, 2, r - v),
+        # spelled out, and the last takes what remains.  An empty value (the
+        # walk's root) adds nothing to the prefix.
         out.extend([
             pre + (v, w, r - v - w)
+            for value, (min_value, _, r) in heads
+            for pre in (prefix + (value,) if value else prefix,)
             for v in candidates(min_value, 3, r)
             for w in range(max(v + step, r - v - l), (r - v - step) // 2 + 1)
         ])
@@ -348,16 +351,8 @@ def decompose(
             if rem % d == 0
         ])
 
-    def last_three(prefix: tuple, *state: int) -> None:
-        # The last three bases in one pass: choices() at rest = 2 lists the
-        # heads of last_two().
-        last_two(prefix, choices(*state))
-
     with _collector_paused():
-        if parts == 2:
-            last_two((), [((), (1, 1, t, subscript_sum))])
-        else:
-            _walk(parts - 3, (1, parts - 1, t, subscript_sum), choices, last_three)
+        _walk(parts - 2, (1, parts - 1, t, subscript_sum), choices, last_two)
     return out
 
 

@@ -496,7 +496,7 @@ _CHILD_RUNS = [
     ),
     pytest.param([*_DECOMPOSE, "9", "--sum", "72", "--parts", "4", "--max-index", "15"], 0,
                  _decompose_rows(1270, 9, 72, 4, 15), id="decompose-4-parts-t9"),
-    # t = 5: the last three slots under two walk levels
+    # t = 5: two walk levels, the second handed to the last pass as a batch
     pytest.param([*_FAMILY, "5", "--sum", "60", "--max-index", "30"], 0,
                  _family_rows(2002, 5, 60, 30, False), id="family-t5"),
     pytest.param([*_FAMILY, "5", "--sum", "60", "--max-index", "30", "--repetition"], 0,
@@ -504,8 +504,9 @@ _CHILD_RUNS = [
     # t = 7: four walk levels
     pytest.param([*_FAMILY, "7", "--sum", "70", "--max-index", "20"], 0,
                  _family_rows(2306, 7, 70, 20, False), id="family-t7"),
-    # six parts: three walk levels; three parts: the three-base pass with no
-    # walk level; two parts: the last pair alone
+    # six parts: four walk levels, the last handed over as a batch of heads;
+    # three parts: one level, one batch; two parts: no walk level, one empty
+    # head
     pytest.param([*_DECOMPOSE, "10", "--sum", "60", "--parts", "6", "--max-index", "12"], 0,
                  _decompose_rows(3128, 10, 60, 6, 12), id="decompose-6-parts"),
     pytest.param([*_DECOMPOSE, "10", "--sum", "75", "--parts", "3", "--max-index", "15"], 0,

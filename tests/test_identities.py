@@ -82,7 +82,8 @@ class TestEnumerateFamily:
                         ) == brute_force_family(t, s, l, rep)
 
     def test_matches_brute_force_at_five_terms(self):
-        # the last three slots run under two stack levels
+        # two walk levels: the first on the stack, the second handed to the
+        # last pass as one batch of heads
         for l in range(1, 16):
             for rep in (False, True):
                 for s in range(1, 5 * l + 2):
@@ -257,11 +258,11 @@ class TestDecompose:
                     found.setdefault(s, []).append(tuple(zip(bases, weights)))
             return {s: sorted(rows) for s, rows in found.items()}
 
-        # (t, l, most parts): t = 6 reaches every path (one part, the last
-        # pair alone, the three-base pass, and that pass under one to three
-        # walk levels) and t = 7 puts the pass under four; the benchmark's
-        # weights, t = 9 and 10, give last weights up to t - 1, past any
-        # that t <= 7 reaches
+        # (t, l, most parts): t = 6 reaches every walk depth (one part, no
+        # walk level and so one empty head, one level handed over as a batch
+        # of heads, and that batch under one to three stack levels) and t = 7
+        # puts the batch under four; the benchmark's weights, t = 9 and 10,
+        # give last weights up to t - 1, past any that t <= 7 reaches
         grid = [(t, l, t) for l in range(1, 10) for t in range(1, 6)]
         grid += [(6, l, 6) for l in range(1, 9)]
         grid += [(7, l, 7) for l in range(1, 8)]
@@ -298,6 +299,43 @@ class TestDecompose:
         assert decompose(1200, 720600, 1200, 1200) == [
             Decomposition(tuple((b, 1) for b in range(1, 1201)))
         ]
+
+    def test_choices_lists_exactly_the_completable_heads(self, monkeypatch):
+        # Every (base, weight) head that decompose's walk is offered, against
+        # the inequality that defines it: b and w leave the other ``rest``
+        # bases a weight each and a remainder between its smallest and
+        # largest completion.  A bound loosened so that it offers a head that
+        # completes to no row changes no listing, only this set.
+        walk = identities._walk
+        calls = []
+
+        def recording_walk(levels, root, choices, last):
+            def recording(*state):
+                rows = list(choices(*state))
+                calls.append((state, rows))
+                return iter(rows)
+
+            return walk(levels, root, recording, last)
+
+        monkeypatch.setattr(identities, "_walk", recording_walk)
+        heads = 0
+        for t in range(2, 10):
+            for parts in range(2, min(t, 6) + 1):
+                for l in range(parts, 11):
+                    for s in range(t, t * l + 1):
+                        calls.clear()
+                        decompose(t, s, parts, l)
+                        for (min_index, rest, W, S), rows in calls:
+                            k = rest * (rest - 1) // 2
+                            expect = [
+                                ((b, w), (b + 1, rest - 1, W - w, S - w * b))
+                                for b in range(min_index, l - rest + 1)
+                                for w in range(1, W - rest + 1)
+                                if (W - w) * (b + 1) + k <= S - w * b <= (W - w) * l - k
+                            ]
+                            assert rows == expect, (t, s, parts, l, min_index, rest, W, S)
+                            heads += len(rows)
+        assert heads == 156951
 
     def test_json_shape(self):
         d = Decomposition(((2, 1), (5, 2)))
@@ -357,8 +395,9 @@ class TestCollectorPause:
         assert len(decompose(10, 60, 4, 12)) == 796
         assert gc.isenabled() is collector
 
-    # one query per path, with its row count: the last pair alone, the
-    # three-base pass, and that pass under a stack level
+    # one query per walk depth, with its row count: no walk level (one empty
+    # head), one level handed over as a batch of heads, and that batch under
+    # a stack level
     PATHS = {(3, 12, 2, 8): 3, (6, 30, 3, 9): 30, (10, 60, 4, 12): 796}
 
     def test_paused_during_walk(self, collector, monkeypatch):
