@@ -24,17 +24,19 @@ slots still open (the interval bounds of restricted partitions, Andrews,
 *The Theory of Partitions*, ch. 3).  Both bounds are linear in the next
 candidate, so each level solves them for its first and last feasible
 candidate instead of testing candidates one by one.  The walk hands over
-its deepest level whole: one pass per batch of heads fills the last three
-slots of a family, or the last two bases of a decomposition, below each
-head.  A walk with no level to choose hands over one head with an empty
-value.  The last slot takes what remains; the last weight d of a
-decomposition runs down from the largest that leaves room to the least that
-keeps its base within ``max_index``, and a row is kept when d divides what
-remains.  A family walk therefore costs in proportion to the rows it returns
-times ``t``, not to ``max_index``; a decomposition also tests each d, two or
-three per row on dense queries but 365,516 for the 4,566 rows of
-``decompose(1000, 600000, 2, 1000)``.  Output matches a brute-force filter.
-All listings come out in lexicographic order and are byte-reproducible.
+its deepest level whole: it is a generator that yields one batch of heads
+at a time, when asked, and each enumerator is one comprehension over those
+batches that fills the last three slots of a family, or the last two bases
+of a decomposition, below each head.  A walk with no level to choose yields
+one head with an empty value.  The last slot takes what remains; the last
+weight d of a decomposition runs down from the largest that leaves room to
+the least that keeps its base within ``max_index``, and a row is kept when
+d divides what remains.  A family walk therefore costs in proportion to the
+rows it returns times ``t``, not to ``max_index``; a decomposition also
+tests each d, two or three per row on dense queries but 365,516 for the
+4,566 rows of ``decompose(1000, 600000, 2, 1000)``.  Output matches a
+brute-force filter.  All listings come out in lexicographic order and are
+byte-reproducible.
 
 :func:`decompose` runs its walk with the cyclic garbage collector paused and
 restores the collector's previous state on the way out, even when the walk
@@ -170,18 +172,20 @@ class Verdict:
         return self.verified
 
 
-def _walk(levels: int, root: tuple, choices: Callable, last: Callable) -> None:
+def _walk(levels: int, root: tuple, choices: Callable) -> Iterator[tuple[tuple, Iterable]]:
     """Depth-first walk over ``levels`` levels of choices, with an explicit stack.
 
     ``choices(*state)`` yields ``(value, child_state)`` pairs for one level,
-    starting from ``root``.  The deepest level is handed over whole:
-    ``last(prefix, heads)`` runs once for each iterator ``levels`` deep, with
-    ``heads`` that iterator of ``(value, state)`` pairs and ``prefix`` the
-    values chosen above it.  With ``levels <= 0`` the walk is the single call
-    ``last((), [((), root)])``: one head whose value is empty.
+    starting from ``root``.  The walk is a generator that yields the deepest
+    level whole, one batch at a time and only when asked: ``(prefix, heads)``
+    for each iterator ``levels`` deep, with ``heads`` that iterator of
+    ``(value, state)`` pairs and ``prefix`` the values chosen above it.  With
+    ``levels <= 0`` it yields ``((), [((), root)])`` alone: one head whose
+    value is empty.  It holds no state outside itself, so a walk dropped
+    part-way leaves nothing to restore.
     """
     if levels <= 0:
-        last((), [((), root)])
+        yield (), [((), root)]
         return
     # One value per level, shared by the whole walk so that a deep walk holds
     # O(levels) state; a prefix tuple per level would hold O(levels^2).
@@ -190,7 +194,7 @@ def _walk(levels: int, root: tuple, choices: Callable, last: Callable) -> None:
     while stack:
         depth = len(stack)
         if depth == levels:
-            last(tuple(acc), stack.pop())
+            yield tuple(acc), stack.pop()
             continue
         # A shallower level breaks out after pushing a child and resumes
         # from its iterator when the child is done.
@@ -238,23 +242,18 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
         for v in candidates(min_value, slots, remaining):
             yield v, (v + step, slots - 1, remaining - v)
 
-    out: list[tuple[int, ...]] = []
-
-    def last_three(prefix: tuple, heads: Iterable[tuple[int | tuple, tuple[int, int, int]]]) -> None:
-        # The last three slots in one pass per batch of heads: below each
-        # head, the middle value w ranges over candidates(v + step, 2, r - v),
-        # spelled out, and the last takes what remains.  An empty value (the
-        # walk's root) adds nothing to the prefix.
-        out.extend([
-            pre + (v, w, r - v - w)
-            for value, (min_value, _, r) in heads
-            for pre in (prefix + (value,) if value else prefix,)
-            for v in candidates(min_value, 3, r)
-            for w in range(max(v + step, r - v - l), (r - v - step) // 2 + 1)
-        ])
-
-    _walk(t - 3, (1, t, query.subscript_sum), children, last_three)
-    return out
+    # One comprehension over the walk's batches fills the last three slots:
+    # below each head, the middle value w ranges over
+    # candidates(v + step, 2, r - v), spelled out, and the last takes what
+    # remains.  An empty value (the walk's root) adds nothing to the prefix.
+    return [
+        pre + (v, w, r - v - w)
+        for prefix, heads in _walk(t - 3, (1, t, query.subscript_sum), children)
+        for value, (min_value, _, r) in heads
+        for pre in (prefix + (value,) if value else prefix,)
+        for v in candidates(min_value, 3, r)
+        for w in range(max(v + step, r - v - l), (r - v - step) // 2 + 1)
+    ]
 
 
 def shift_identity(i: int, j: int, n: int) -> Identity:
@@ -332,28 +331,23 @@ def decompose(
             for w in range(lo if lo > 1 else 1, (hi if hi < W - rest else W - rest) + 1)
         ])
 
-    out: list[Decomposition] = []
-
-    def last_two(prefix: tuple, heads: Iterable[tuple[tuple, tuple[int, int, int, int]]]) -> None:
-        # The last pair is forced: b and w = W - d range over choices() at
-        # rest = 1, and with rem = S - W*b the last base is b + rem / d, kept
-        # iff d divides rem.  d runs down from min(W - 1, rem) to the least d
-        # with b + rem / d <= l, so w comes out ascending.  Each head's tuple
-        # is built once, so a deep walk holds one O(parts) prefix; an empty
-        # pair adds nothing to it.
-        out.extend([
+    # One comprehension over the walk's batches fills the last pair, which is
+    # forced: b and w = W - d range over choices() at rest = 1, and with
+    # rem = S - W*b the last base is b + rem / d, kept iff d divides rem.  d
+    # runs down from min(W - 1, rem) to the least d with b + rem / d <= l, so
+    # w comes out ascending.  Each head's tuple is built once, so a deep walk
+    # holds one O(parts) prefix; an empty pair adds nothing to it.
+    with _collector_paused():
+        return [
             _decomposition(head + ((b, W - d), (b + rem // d, d)))
+            for prefix, heads in _walk(parts - 2, (1, parts - 1, t, subscript_sum), choices)
             for pair, (min_index, _, W, S) in heads
             for head, first, last in ((prefix + (pair,) if pair else prefix, l + S - W * l, (S - 1) // W),)
             for b in range(first if first > min_index else min_index, (last if last < l else l - 1) + 1)
             for rem in (S - W * b,)
             for d in range(W - 1 if rem >= W else rem, (rem - 1) // (l - b), -1)
             if rem % d == 0
-        ])
-
-    with _collector_paused():
-        _walk(parts - 2, (1, parts - 1, t, subscript_sum), choices, last_two)
-    return out
+        ]
 
 
 def collapse(p: StringProduct) -> tuple[int, Fraction] | None:

@@ -504,7 +504,7 @@ _CHILD_RUNS = [
     # t = 7: four walk levels
     pytest.param([*_FAMILY, "7", "--sum", "70", "--max-index", "20"], 0,
                  _family_rows(2306, 7, 70, 20, False), id="family-t7"),
-    # six parts: four walk levels, the last handed over as a batch of heads;
+    # six parts: four walk levels, the last yielded as a batch of heads;
     # three parts: one level, one batch; two parts: no walk level, one empty
     # head
     pytest.param([*_DECOMPOSE, "10", "--sum", "60", "--parts", "6", "--max-index", "12"], 0,

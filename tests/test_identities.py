@@ -259,8 +259,8 @@ class TestDecompose:
             return {s: sorted(rows) for s, rows in found.items()}
 
         # (t, l, most parts): t = 6 reaches every walk depth (one part, no
-        # walk level and so one empty head, one level handed over as a batch
-        # of heads, and that batch under one to three stack levels) and t = 7
+        # walk level and so one empty head, one level yielded as a batch of
+        # heads, and that batch under one to three stack levels) and t = 7
         # puts the batch under four; the benchmark's weights, t = 9 and 10,
         # give last weights up to t - 1, past any that t <= 7 reaches
         grid = [(t, l, t) for l in range(1, 10) for t in range(1, 6)]
@@ -305,27 +305,38 @@ class TestDecompose:
         # the inequality that defines it: b and w leave the other ``rest``
         # bases a weight each and a remainder between its smallest and
         # largest completion.  A bound loosened so that it offers a head that
-        # completes to no row changes no listing, only this set.
+        # completes to no row changes no listing, only this set.  A loosened
+        # b range adds no head, only bases with an empty w range: the ranges
+        # each call builds (b's, then one w range per b) show those.
         walk = identities._walk
         calls = []
 
-        def recording_walk(levels, root, choices, last):
+        def recording_walk(levels, root, choices):
             def recording(*state):
-                rows = list(choices(*state))
-                calls.append((state, rows))
+                built = []
+
+                def recording_range(*args):
+                    built.append(range(*args))
+                    return built[-1]
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(identities, "range", recording_range, raising=False)
+                    rows = list(choices(*state))
+                calls.append((state, rows, built))
                 return iter(rows)
 
-            return walk(levels, root, recording, last)
+            return walk(levels, root, recording)
 
         monkeypatch.setattr(identities, "_walk", recording_walk)
-        heads = 0
+        heads = bases = 0
         for t in range(2, 10):
             for parts in range(2, min(t, 6) + 1):
                 for l in range(parts, 11):
                     for s in range(t, t * l + 1):
                         calls.clear()
                         decompose(t, s, parts, l)
-                        for (min_index, rest, W, S), rows in calls:
+                        for (min_index, rest, W, S), rows, built in calls:
+                            where = (t, s, parts, l, min_index, rest, W, S)
                             k = rest * (rest - 1) // 2
                             expect = [
                                 ((b, w), (b + 1, rest - 1, W - w, S - w * b))
@@ -333,15 +344,55 @@ class TestDecompose:
                                 for w in range(1, W - rest + 1)
                                 if (W - w) * (b + 1) + k <= S - w * b <= (W - w) * l - k
                             ]
-                            assert rows == expect, (t, s, parts, l, min_index, rest, W, S)
+                            assert rows == expect, where
+                            b_range, *w_ranges = built
+                            assert len(w_ranges) == len(b_range), where
+                            assert all(w_ranges), where
                             heads += len(rows)
+                            bases += len(b_range)
         assert heads == 156951
+        assert bases == 93157
 
     def test_json_shape(self):
         d = Decomposition(((2, 1), (5, 2)))
         assert d.to_json_dict() == {
             "parts": [{"index": 2, "weight": 1}, {"index": 5, "weight": 2}]
         }
+
+
+class TestWalk:
+    def test_generator_contract(self):
+        # A tree whose nodes (lo, hi) have children lo .. hi - 1, so some
+        # batches are empty; the walk must yield the batches, with their
+        # prefixes, in the order a recursive depth-first walk reaches them.
+        def choices(lo, hi):
+            return iter([(v, (v + 1, hi)) for v in range(lo, hi)])
+
+        def reference(levels, state, prefix=()):
+            if levels == 1:
+                yield prefix, list(choices(*state))
+                return
+            for value, child in choices(*state):
+                yield from reference(levels - 1, child, prefix + (value,))
+
+        for levels in (0, -1):
+            assert list(identities._walk(levels, (2, 5), choices)) == [((), [((), (2, 5))])]
+        for levels in range(1, 6):
+            walked = [(prefix, list(heads)) for prefix, heads in identities._walk(levels, (0, 6), choices)]
+            assert walked == list(reference(levels, (0, 6))), levels
+
+        # 2^59 batches: the first comes at once, after one choices call per
+        # level, so a consumer can stream a walk it never finishes
+        calls = []
+
+        def two_way(depth):
+            calls.append(depth)
+            return iter([(0, (depth + 1,)), (1, (depth + 1,))])
+
+        prefix, heads = next(identities._walk(60, (0,), two_way))
+        assert prefix == (0,) * 59
+        assert list(heads) == [(0, (60,)), (1, (60,))]
+        assert calls == list(range(60))
 
 
 class TestIntegerArguments:
@@ -396,8 +447,8 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
     # one query per walk depth, with its row count: no walk level (one empty
-    # head), one level handed over as a batch of heads, and that batch under
-    # a stack level
+    # head), one level yielded as a batch of heads, and that batch under a
+    # stack level
     PATHS = {(3, 12, 2, 8): 3, (6, 30, 3, 9): 30, (10, 60, 4, 12): 796}
 
     def test_paused_during_walk(self, collector, monkeypatch):
