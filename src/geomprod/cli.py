@@ -22,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .exact import as_rational
 from .identities import (
     FamilyQuery,
     Identity,
@@ -43,7 +44,7 @@ _Result = tuple[int, list[str], object, list[str]]
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

@@ -16,6 +16,7 @@ without coercing them again.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,12 +24,25 @@ __all__ = ["ExactExponent", "as_rational"]
 
 RationalLike = Fraction | int | str
 
+# The one rational text form.  Fraction alone also reads exponent notation
+# (so "1e999999999" builds a billion-digit integer), decimals, underscores,
+# a leading "+", surrounding spaces and non-ASCII digits.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction."""
+    """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction.
+
+    A string is an optional "-", ASCII digits, then optionally "/" and ASCII
+    digits, with no spaces; any other string raises :class:`ValueError`.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if _RATIONAL_RE.fullmatch(value) is None:
+            raise ValueError(f"cannot interpret {value!r} as a rational number (expected p or p/q)")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 

@@ -332,18 +332,20 @@ def decompose(
         ])
 
     # One comprehension over the walk's batches fills the last pair, which is
-    # forced: b and w = W - d range over choices() at rest = 1, and with
-    # rem = S - W*b the last base is b + rem / d, kept iff d divides rem.  d
-    # runs down from min(W - 1, rem) to the least d with b + rem / d <= l, so
-    # w comes out ascending.  Each head's tuple is built once, so a deep walk
-    # holds one O(parts) prefix; an empty pair adds nothing to it.
+    # forced: b and w = W - d range over choices() at rest = 1, whose cap
+    # b <= l - 1 needs no test here (when (S - 1) // W >= l, first > l), and
+    # with rem = S - W*b the last base is b + rem / d, kept iff d divides
+    # rem.  d runs down from min(W - 1, rem) to the least d with
+    # b + rem / d <= l, so w comes out ascending.  Each head's tuple is built
+    # once, so a deep walk holds one O(parts) prefix; an empty pair adds
+    # nothing to it.
     with _collector_paused():
         return [
             _decomposition(head + ((b, W - d), (b + rem // d, d)))
             for prefix, heads in _walk(parts - 2, (1, parts - 1, t, subscript_sum), choices)
             for pair, (min_index, _, W, S) in heads
-            for head, first, last in ((prefix + (pair,) if pair else prefix, l + S - W * l, (S - 1) // W),)
-            for b in range(first if first > min_index else min_index, (last if last < l else l - 1) + 1)
+            for head, first in ((prefix + (pair,) if pair else prefix, l + S - W * l),)
+            for b in range(first if first > min_index else min_index, (S - 1) // W + 1)
             for rem in (S - W * b,)
             for d in range(W - 1 if rem >= W else rem, (rem - 1) // (l - b), -1)
             if rem % d == 0

@@ -19,16 +19,17 @@ Parsed products are normalized.  Syntax problems raise :class:`ParseError`
 with the offending position; an index below 1 raises
 :class:`~geomprod.model.InvalidIndexError`.
 
-Reading runs in two stages.  A term scanner finds the terms first, one
+Reading runs one path.  A term scanner reads the text first, one
 compiled-regex match per term and the separator after it (``*``, ``=`` or
-the end).  It reads a term's index and the whole spelling of its exponent:
-a signed rational, as in ``a3^-1/2``, or a parenthesized body without
-nested parentheses, as in ``a3^(1/2 + pi)``.  The token parser,
-:class:`_Parser`, reads each new exponent spelling once, plus every text the
-scanner cannot finish: the literal ``1``, an index below 1, a missing or
-second ``=``, and any error.  So ``_Parser`` alone turns exponent text into
-exponents, and every error, with its position, expected and found text,
-comes from that one place.
+the end), and returns the terms of every product it finds, split at ``=``.
+It reads a term's index and the whole spelling of its exponent: a signed
+rational, as in ``a3^-1/2``, or a parenthesized body without nested
+parentheses, as in ``a3^(1/2 + pi)``.  The token parser, :class:`_Parser`,
+reads each new exponent spelling once.  It also reads the whole text, once,
+when the scanner cannot finish it (the literal ``1``, an index below 1, any
+error) or finds a number of products other than the one or two asked for.
+So ``_Parser`` alone turns exponent text into exponents, and every error,
+with its position, expected and found text, comes from that one place.
 
 The scanner keeps the exponents it read in a module-level table keyed by
 their spelling, the text after ``^``, and its factors share them.  Texts
@@ -232,8 +233,8 @@ _EXPONENTS_MAX = 1024  # entries
 _SPELLING_MAX = 32  # characters
 
 
-def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None:
-    """The (index, exponent) pairs of ``sides`` products joined by "=".
+def _scan(text: str) -> list[list[tuple[int, ExactExponent]]] | None:
+    """The (index, exponent) pairs of every product in the text, split at "=".
 
     None when the text needs _Parser: it alone reads rare forms in full and
     raises every error.
@@ -263,42 +264,40 @@ def _scan(text: str, sides: int) -> list[list[tuple[int, ExactExponent]]] | None
                     if len(spelling) <= _SPELLING_MAX and len(exponents) < _EXPONENTS_MAX:
                         exponents[spelling] = exp
             pairs.append((index, exp))
-            if sep == "*":
-                pos = m.end()
-                continue
-            out.append(pairs)
-            if len(out) == sides:
-                return None if sep else out  # sep: a second "=", or one in a product
-            if not sep:
-                return None  # the text ends before its "="
-            pairs = []
             pos = m.end()
+            if sep != "*":
+                out.append(pairs)
+                if not sep:
+                    return out
+                pairs = []
     except ValueError:  # ParseError, or a digit run int() refuses
         return None
 
 
+def _read(text: str, sides: int) -> list[StringProduct]:
+    """The ``sides`` normalized products of a text joined by "=".
+
+    _Parser reads the whole text if the scanner cannot or finds more or fewer.
+    """
+    products = _scan(text)
+    if products is None or len(products) != sides:
+        parser = _Parser(text)
+        products = [parser.product()]
+        for _ in range(1, sides):
+            parser.expect("=")
+            products.append(parser.product())
+        parser.end()
+    return [normalize(pairs) for pairs in products]
+
+
 def parse_product(text: str) -> StringProduct:
     """Parse one product; the result is normalized."""
-    scanned = _scan(text, 1)
-    if scanned is not None:
-        return normalize(scanned[0])
-    parser = _Parser(text)
-    pairs = parser.product()
-    parser.end()
-    return normalize(pairs)
+    return _read(text, 1)[0]
 
 
 def parse_identity(text: str) -> Identity:
     """Parse ``<product> = <product>``; both sides come back normalized."""
-    scanned = _scan(text, 2)
-    if scanned is not None:
-        return Identity(normalize(scanned[0]), normalize(scanned[1]))
-    parser = _Parser(text)
-    lhs = parser.product()
-    parser.expect("=")
-    rhs = parser.product()
-    parser.end()
-    return Identity(normalize(lhs), normalize(rhs))
+    return Identity(*_read(text, 2))
 
 
 # style -> (term, powered term, joiner, exponent writer)

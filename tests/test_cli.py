@@ -252,6 +252,15 @@ class TestSolve:
         code, _, _ = run_cli(["solve", "--indices", "5", "--target", "4", "--total", "1"])
         assert code == 2
 
+    def test_total_in_exponent_notation_is_refused_at_once(self):
+        # Fraction alone would build a billion-digit integer from this
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomprod", "solve", "--indices", "5,2", "--target", "4", "--total", "1e999999999"],
+            capture_output=True, text=True, env=_child_env(), timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "argument --total: cannot interpret '1e999999999' as a rational number" in proc.stderr
+
 
 class TestEval:
     def test_value(self):
@@ -361,6 +370,10 @@ class TestContract:
             ([], "the following arguments are required: command"),
             (["canon"], "the following arguments are required: product"),
             (["canon", "a3", "--zz"], "unrecognized arguments: --zz"),
+            (
+                ["solve", "--indices", "5,2", "--target", "4", "--total", "1e3"],
+                "argument --total: cannot interpret '1e3' as a rational number",
+            ),
         ],
     )
     def test_usage_errors(self, argv, message):
@@ -423,6 +436,13 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("verified:")
+
+
+def _child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def _counting():
@@ -526,10 +546,7 @@ _CHILD_RUNS = [
 
 @pytest.mark.parametrize("args, code, check", _CHILD_RUNS)
 def test_child_process(args, code, check):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == code, proc.stderr
     if check is not None:
         assert check(json.loads(proc.stdout))

@@ -55,9 +55,19 @@ class TestRational:
     def test_as_rational_coercions(self):
         assert as_rational(3) == Fraction(3)
         assert as_rational("7/3") == Fraction(7, 3)
+        assert as_rational("-0012/8") == Fraction(-3, 2)
         assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
         with pytest.raises(TypeError):
             as_rational(1.5)
+
+    @pytest.mark.parametrize("text", ["1e3", "0.5", " 3/2", "3/2 ", "+3", "1_000", "\u0663", "1e5000000"])
+    def test_as_rational_reads_only_p_or_p_over_q(self, text):
+        # Fraction alone reads each of these, "1e5000000" in seconds
+        with pytest.raises(ValueError, match="as a rational number") as err:
+            as_rational(text)
+        assert repr(text) in str(err.value)
+        with pytest.raises(ValueError):
+            ExactExponent(text)
 
 
 class TestExactExponent:

@@ -307,9 +307,19 @@ class TestDecompose:
         # largest completion.  A bound loosened so that it offers a head that
         # completes to no row changes no listing, only this set.  A loosened
         # b range adds no head, only bases with an empty w range: the ranges
-        # each call builds (b's, then one w range per b) show those.
+        # each call builds (b's, then one w range per b) show those.  The
+        # last pair's bases are pinned the same way: each one it visits
+        # builds one d range, the only ranges with step -1, and a loosened
+        # base bound adds only empty ones.
         walk = identities._walk
         calls = []
+        d_ranges = []
+
+        def recording_d_range(*args):
+            built = range(*args)
+            if built.step == -1:
+                d_ranges.append(built)
+            return built
 
         def recording_walk(levels, root, choices):
             def recording(*state):
@@ -328,13 +338,18 @@ class TestDecompose:
             return walk(levels, root, recording)
 
         monkeypatch.setattr(identities, "_walk", recording_walk)
-        heads = bases = 0
+        monkeypatch.setattr(identities, "range", recording_d_range, raising=False)
+        heads = bases = last_bases = candidates = 0
         for t in range(2, 10):
             for parts in range(2, min(t, 6) + 1):
                 for l in range(parts, 11):
                     for s in range(t, t * l + 1):
                         calls.clear()
+                        d_ranges.clear()
                         decompose(t, s, parts, l)
+                        assert all(d_ranges), (t, s, parts, l)
+                        last_bases += len(d_ranges)
+                        candidates += sum(map(len, d_ranges))
                         for (min_index, rest, W, S), rows, built in calls:
                             where = (t, s, parts, l, min_index, rest, W, S)
                             k = rest * (rest - 1) // 2
@@ -352,6 +367,8 @@ class TestDecompose:
                             bases += len(b_range)
         assert heads == 156951
         assert bases == 93157
+        assert last_bases == 177804
+        assert candidates == 268056
 
     def test_json_shape(self):
         d = Decomposition(((2, 1), (5, 2)))
