@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction.
 
     A string is an optional "-", ASCII digits, then optionally "/" and ASCII
-    digits, with no spaces; any other string raises :class:`ValueError`.
+    digits, with no spaces; any other string raises :class:`ValueError`, as
+    does a digit run longer than ``sys.get_int_max_str_digits()``.
     """
     if isinstance(value, Fraction):
         return value
@@ -43,7 +45,14 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if _RATIONAL_RE.fullmatch(value) is None:
             raise ValueError(f"cannot interpret {value!r} as a rational number (expected p or p/q)")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # a digit run longer than the interpreter converts
+            found = max(map(len, value.lstrip("-").split("/")))
+            raise ValueError(
+                f"cannot interpret {found} digits as a rational number "
+                f"(expected an integer of at most {sys.get_int_max_str_digits()} digits)"
+            ) from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -2,8 +2,12 @@
 
 :func:`numeric_check` compares log sums taken term by term, not through the
 signature, so a pass is independent evidence; "unstable" means rounding alone
-could fail the identity, so no trial ran.  Sampling is seeded and evaluated
-over fixed-size blocks, so memory stays constant in the trial count.  A check
+could fail the identity, so no trial ran.  A trial passes when its ``|d|``,
+the absolute difference of the two log sums, is at most a cut that depends
+only on the tolerance; this relies on ``-expm1(-x)``, the relative error a
+``|d|`` of ``x`` stands for, never decreasing in ``x``, so ``expm1`` runs once
+per check, on the largest ``|d|``.  Sampling is seeded and evaluated over
+fixed-size blocks, so memory stays constant in the trial count.  A check
 of several chunks, on a process that may run on two or more CPUs, draws each
 next chunk on one worker thread while the caller evaluates the current one.
 Reports are reproducible bit for bit whatever the block or chunk size and
@@ -61,6 +65,11 @@ _BLOCK = 1 << 14
 _CHUNK = 4 * _BLOCK
 _THREAD_CHUNKS = 4
 
+# The cut of each relative tolerance a check has used (see _cut): a trial
+# passes when its |d| is at most the cut.
+_CUTS: dict[float, float] = {}
+_CUTS_MAX = 64  # entries
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""
@@ -112,6 +121,33 @@ class CheckReport:
         }
 
 
+def _cut(rel_tol: float) -> float:
+    """The largest float64 ``x`` with ``-np.expm1(-x) <= rel_tol``.
+
+    Bisection over the bit patterns of the non-negative floats, which order
+    them by value, from 0.0 (which passes) to inf (which fails, as
+    ``rel_tol < 1``); it takes 63 steps, about 0.1 ms, so each tolerance's
+    cut is kept in ``_CUTS``, up to ``_CUTS_MAX`` of them.  A window around
+    ``-log1p(-rel_tol)`` would not do: near ``rel_tol = 1`` the function is
+    flat over hundreds of ulps.
+    """
+    cut = _CUTS.get(rel_tol)
+    if cut is None:
+        import numpy as np
+
+        lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if -np.expm1(-np.int64(mid).view(np.float64)) <= rel_tol:
+                lo = mid
+            else:
+                hi = mid
+        cut = float(np.int64(lo).view(np.float64))
+        if len(_CUTS) < _CUTS_MAX:  # a full table stops adding
+            _CUTS[rel_tol] = cut
+    return cut
+
+
 def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     """Sample sequences and compare the logarithms of the two sides.
 
@@ -129,6 +165,13 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     Algorithms*, 2nd ed., ch. 3-4).  In units ``eps/2``, ``to_real`` rounds 4
     times, the float ``i-1``, two products and a sum 4 more, and the sum of
     terms ``n - 1``: ``c = 7`` to first order, the factor 2 covering the rest.
+
+    A trial is decided as ``|d| <= cut``, with ``cut`` the largest float that
+    passes (see :func:`_cut`), and ``max_rel_error`` is ``-expm1(-max|d|)``,
+    computed once after the last block.  Both rely on numpy's ``-expm1(-x)``
+    never decreasing in ``x``, which the tests check over 2^16 floats either
+    side of each tested tolerance's cut.  A NaN ``|d|`` fails either way and
+    is kept by the maximum.
 
     Trials are drawn in chunks and evaluated in blocks of ``_BLOCK``, each step
     in place in preallocated buffers.  ``a1`` comes from ``default_rng(seed)``;
@@ -177,6 +220,7 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     n_lhs = len(ident.lhs.factors)
     coeffs[n_lhs:] = [-c for c in coeffs[n_lhs:]]
     steps = [f.index - 1 for f in factors]
+    cut = _cut(cfg.rel_tol)
     rng = rng_r = np.random.default_rng(cfg.seed)
     if cfg.trials > _BLOCK:
         rng_r = np.random.default_rng(cfg.seed)
@@ -272,10 +316,7 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
                         np.multiply(coeff, t, t)
                         np.add(d, t, d)
             np.abs(d, d)
-            np.negative(d, d)
-            np.expm1(d, d)
-            np.negative(d, d)
-            pass_count += int(np.count_nonzero(d <= cfg.rel_tol))
+            pass_count += int(np.count_nonzero(d <= cut))
             peak = np.maximum(peak, d.max())  # keeps a NaN, as a whole-array max would
     finally:
         if jobs is not None:  # the worker is joined whether this returns or raises
@@ -283,7 +324,7 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
             if worker.ident is not None:
                 worker.join()
     verdict = "pass" if pass_count == cfg.trials else "fail"
-    return CheckReport(verdict, cfg.trials, pass_count, float(peak), 0)
+    return CheckReport(verdict, cfg.trials, pass_count, float(-np.expm1(-peak)), 0)
 
 
 def brute_force_family(

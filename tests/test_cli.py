@@ -374,6 +374,12 @@ class TestContract:
                 ["solve", "--indices", "5,2", "--target", "4", "--total", "1e3"],
                 "argument --total: cannot interpret '1e3' as a rational number",
             ),
+            pytest.param(
+                ["solve", "--indices", "5,2", "--target", "4", "--total", "9" * 5000],
+                "argument --total: cannot interpret 5000 digits as a rational number "
+                f"(expected an integer of at most {sys.get_int_max_str_digits()} digits)",
+                id="overlong-total",
+            ),
         ],
     )
     def test_usage_errors(self, argv, message):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,18 @@ class TestRational:
         assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
         with pytest.raises(TypeError):
             as_rational(1.5)
+
+    @pytest.mark.parametrize("text", ["9" * 5000, "-1/" + "3" * 5000])
+    def test_as_rational_names_the_digit_limit(self, text):
+        # not the interpreter's advice to raise the limit
+        with pytest.raises(ValueError) as err:
+            as_rational(text)
+        assert str(err.value) == (
+            "cannot interpret 5000 digits as a rational number "
+            f"(expected an integer of at most {sys.get_int_max_str_digits()} digits)"
+        )
+        with pytest.raises(ValueError, match="an integer of at most"):
+            ExactExponent(text)
 
     @pytest.mark.parametrize("text", ["1e3", "0.5", " 3/2", "3/2 ", "+3", "1_000", "\u0663", "1e5000000"])
     def test_as_rational_reads_only_p_or_p_over_q(self, text):

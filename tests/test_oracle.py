@@ -308,6 +308,26 @@ class TestBlockedSampling:
         sampled = sum(numeric_check(i, OracleConfig(trials=1)).skipped == 0 for i in idents)
         assert threaded == ["geomprod-draws"] * (3 * sampled if trials > _CHUNK else 0)
 
+    # Each tolerance gets an identity whose |d|, ln r / N, straddles its cut,
+    # so that some trials pass and some fail; 2 * _CHUNK + 1 trials thread.
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-6, 0.5])
+    @pytest.mark.parametrize("trials", [1000, _BLOCK + 1, 2 * _CHUNK + 1])
+    def test_reports_equal_whole_array_evaluation_at_other_tolerances(self, rel_tol, trials, threaded):
+        n = round(0.5 / rel_tol)
+        straddling = parse_identity(f"a2^(1/{n}) = a1^(1/{n})")
+        idents = [
+            straddling,
+            parse_identity("a3^(6pi) * a6^6 = a2^(5pi+2) * a8^(pi+4)"),
+            parse_identity(f"a5^(1/{n}) * a9^(2pi) = a3^(1/{n}) * a9^(2pi)"),
+        ]
+        for ident in idents:
+            for seed in (0, 5):
+                cfg = OracleConfig(trials=trials, seed=seed, rel_tol=rel_tol)
+                assert repr(numeric_check(ident, cfg)) == repr(reference_numeric_check(ident, cfg))
+        report = numeric_check(straddling, OracleConfig(trials=trials, rel_tol=rel_tol))
+        assert 0 < report.pass_count < trials
+        assert threaded == ["geomprod-draws"] * (2 * len(idents) + 1 if trials > _CHUNK else 0)
+
     def test_in_place_draws_equal_uniform(self):
         # numeric_check scales and shifts random() in place, as uniform()
         # does; a numpy build that fused that multiply and add would fail
@@ -333,6 +353,36 @@ class TestBlockedSampling:
             tracemalloc.stop()
         assert report.verdict == "pass"
         assert peak < 4 * 2**20
+
+
+class TestCut:
+    """A trial passes when its |d| is at most its tolerance's cut."""
+
+    @pytest.mark.parametrize("rel_tol", [5e-324, 1e-300, 1e-9, 0.5, 0.9999, 1 - 2**-53])
+    def test_cut_decides_as_the_relative_error(self, rel_tol):
+        import numpy as np
+
+        cut = oracle._cut(rel_tol)
+        near = np.arange(-(2**16), 2**16 + 1) + np.float64(cut).view(np.int64)
+        x = near[near >= 0].view(np.float64)  # the non-negative floats near the cut
+        assert np.array_equal(x <= cut, -np.expm1(-x) <= rel_tol)
+        assert x[0] <= cut < x[-1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trial_at_the_tolerance_passes(self, seed):
+        # at a tolerance of its own largest error every trial is within it
+        ident = parse_identity("a2 = a1")
+        worst = numeric_check(ident, OracleConfig(trials=1000, seed=seed)).max_rel_error
+        assert numeric_check(ident, OracleConfig(trials=1000, seed=seed, rel_tol=worst)) == CheckReport(
+            "pass", 1000, 1000, worst, 0
+        )
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CUTS", {})
+        monkeypatch.setattr(oracle, "_CUTS_MAX", 2)
+        cuts = [oracle._cut(t) for t in (1e-9, 0.5, 1e-6)]
+        assert oracle._CUTS == {1e-9: cuts[0], 0.5: cuts[1]}
+        assert oracle._cut(1e-6) == cuts[2]
 
 
 def _bounded(call, timeout=60.0):
@@ -363,8 +413,8 @@ class TestWorkerThread:
         import numpy as np
 
         expected = numeric_check(self.IDENT, self.CFG)
-        log, expm1 = np.log, np.expm1
-        callers, worker_drew = [], threading.Event()
+        log, abs_ = np.log, np.abs
+        callers, worker_drew, waited = [], threading.Event(), []
 
         def log_off_caller(*args):
             if threading.current_thread() is not callers[0]:
@@ -372,14 +422,15 @@ class TestWorkerThread:
                 raise MemoryError("worker")
             return log(*args)
 
-        def expm1_after_worker(*args):
-            # the caller waits in its first block until the worker has taken
-            # a draw, so that it cannot make every draw itself
-            worker_drew.wait(30)
-            return expm1(*args)
+        def abs_after_worker(*args):
+            # the caller waits in its first block (abs runs in every block)
+            # until the worker has taken a draw, so that it cannot make every
+            # draw itself
+            waited.append(worker_drew.wait(30))
+            return abs_(*args)
 
         monkeypatch.setattr(np, "log", log_off_caller)
-        monkeypatch.setattr(np, "expm1", expm1_after_worker)
+        monkeypatch.setattr(np, "abs", abs_after_worker)
         before = threading.active_count()
 
         def call():
@@ -387,27 +438,28 @@ class TestWorkerThread:
             return numeric_check(self.IDENT, self.CFG)
 
         raised = _bounded(call)
+        assert waited and all(waited), "the worker took no draw"
         assert isinstance(raised, MemoryError) and str(raised) == "worker"
         assert "geomprod-draws" in threaded and threading.active_count() == before
         monkeypatch.setattr(np, "log", log)
-        monkeypatch.setattr(np, "expm1", expm1)
+        monkeypatch.setattr(np, "abs", abs_)
         assert repr(numeric_check(self.IDENT, self.CFG)) == repr(expected)
 
     def test_interrupt_in_caller_joins_worker(self, threaded, monkeypatch):
         import numpy as np
 
         expected = numeric_check(self.IDENT, self.CFG)
-        expm1 = np.expm1
+        abs_ = np.abs
 
-        def interrupted(*args):
+        def interrupted(*args):  # in the caller's first block
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(np, "expm1", interrupted)
+        monkeypatch.setattr(np, "abs", interrupted)
         before = threading.active_count()
         raised = _bounded(lambda: numeric_check(self.IDENT, self.CFG))
         assert isinstance(raised, KeyboardInterrupt)
         assert "geomprod-draws" in threaded and threading.active_count() == before
-        monkeypatch.setattr(np, "expm1", expm1)
+        monkeypatch.setattr(np, "abs", abs_)
         assert repr(numeric_check(self.IDENT, self.CFG)) == repr(expected)
 
     def test_runs_inline_when_no_thread_starts(self, threaded, monkeypatch):
