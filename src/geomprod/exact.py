@@ -74,23 +74,34 @@ class ExactExponent:
     longer than 640 characters is returned but not kept:
     ``sys.set_int_max_str_digits`` takes 0 or at least 640, so every kept
     text converts under any limit, and a longer one is written afresh each
-    time, where a lowered limit still raises :class:`ValueError`.  The
-    texts take no part in ``repr``, comparison, hashing or pickling.  Two
-    threads may both write a text first; each stores the same string, so
-    either write is harmless.
+    time, where a lowered limit still raises :class:`ValueError`.
+
+    Beside the texts it keeps the integers of its components, ``(rat's
+    numerator, rat's denominator, pi's numerator, pi's denominator)``, in
+    the private field ``_ints``, written on first use by :func:`_integers`.
+    The package's per-factor loops (the signature, the zero test of a
+    product merged while scanning, the oracle's float parts) read them
+    there, so a shared exponent's Fraction properties run once, not once
+    per factor.  The texts and the integers take no part in ``repr``,
+    comparison, hashing or pickling.  Two threads may both write a text or
+    the integers first; each stores an equal value, so either write is
+    harmless.
     """
 
     rat: Fraction = Fraction(0)
     pi: Fraction = Fraction(0)
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
     _latex: str | None = field(default=None, init=False, repr=False, compare=False)
+    _ints: tuple[int, int, int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         _set_rat(self, as_rational(self.rat))
         _set_pi(self, as_rational(self.pi))
 
-    # The state is the two components alone: a pickle carries no text, and
-    # a two-component state loads whichever version wrote it.
+    # The state is the two components alone: a pickle carries no text and
+    # no integers, and a two-component state loads whichever version wrote it.
     def __getstate__(self) -> list[Fraction]:
         return [self.rat, self.pi]
 
@@ -100,6 +111,7 @@ class ExactExponent:
         _set_pi(self, pi)
         _set_text(self, None)
         _set_latex(self, None)
+        _set_ints(self, None)
 
     # A zero component is added or subtracted without Fraction arithmetic:
     # parsed exponents are mostly purely rational or purely pi, and a
@@ -183,6 +195,7 @@ _set_rat = ExactExponent.__dict__["rat"].__set__
 _set_pi = ExactExponent.__dict__["pi"].__set__
 _set_text = ExactExponent.__dict__["_text"].__set__
 _set_latex = ExactExponent.__dict__["_latex"].__set__
+_set_ints = ExactExponent.__dict__["_ints"].__set__
 
 
 def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
@@ -196,7 +209,19 @@ def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
     _set_pi(e, pi)
     _set_text(e, None)
     _set_latex(e, None)
+    _set_ints(e, None)
     return e
+
+
+def _integers(e: ExactExponent) -> tuple[int, int, int, int]:
+    """The integers ``e`` keeps, written now if this is their first use.
+
+    Readers take ``e._ints or _integers(e)``: a kept 4-tuple is never false.
+    """
+    rat, pi = e.rat, e.pi
+    ints = (rat.numerator, rat.denominator, pi.numerator, pi.denominator)
+    _set_ints(e, ints)
+    return ints
 
 
 ONE = ExactExponent(1)

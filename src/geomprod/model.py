@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import ExactExponent, RationalLike, _of, as_rational
+from .exact import ExactExponent, RationalLike, _integers, _of, as_rational
 
 __all__ = [
     "InvalidIndexError",
@@ -111,16 +111,25 @@ class SequenceSpec:
 
 @dataclass(frozen=True, slots=True)
 class Factor:
-    """One term ``a_index`` raised to a nonzero exact exponent."""
+    """One term ``a_index`` raised to a nonzero exact exponent.
+
+    The index is coerced as :func:`normalize` coerces it (a bool is stored as
+    ``int``, a non-integer raises :class:`TypeError`), and so is the exponent
+    (an int, string or Fraction becomes an :class:`ExactExponent`).
+    """
 
     index: int
     exponent: ExactExponent
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise InvalidIndexError(f"term index must be >= 1, got {self.index}")
-        if self.exponent.is_zero():
+        index = _as_int("index", self.index)
+        if index < 1:
+            raise InvalidIndexError(f"term index must be >= 1, got {index}")
+        exponent = _as_exponent(self.exponent)
+        if exponent.is_zero():
             raise ValueError("factors with zero exponent are not representable")
+        _set_index(self, index)
+        _set_exponent(self, exponent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +144,9 @@ class StringProduct:
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self) -> None:
+        for f in self.factors:
+            if not isinstance(f, Factor):
+                raise TypeError(f"factors must be Factor instances, got {f!r}")
         indices = [f.index for f in self.factors]
         if any(b >= c for b, c in zip(indices, indices[1:])):
             raise ValueError("factors must be sorted by strictly ascending index")
@@ -230,7 +242,10 @@ def signature(p: StringProduct) -> Signature:
 
     One pass over the factors sums integer numerators per denominator for
     each of the four components (T and S, rational and pi parts); each
-    component becomes a single Fraction at the end.
+    component becomes a single Fraction at the end.  The integers come from
+    those each exponent keeps (see :class:`~geomprod.exact.ExactExponent`),
+    so the Fraction properties run once per distinct exponent object, not
+    once per factor.
     """
     t_rat: dict[int, int] = {}
     s_rat: dict[int, int] = {}
@@ -238,18 +253,13 @@ def signature(p: StringProduct) -> Signature:
     s_pi: dict[int, int] = {}
     for f in p.factors:
         e = f.exponent
-        q = e.rat
-        num = q.numerator
+        num, den, pi_num, pi_den = e._ints or _integers(e)
         if num:
-            den = q.denominator
             t_rat[den] = t_rat.get(den, 0) + num
             s_rat[den] = s_rat.get(den, 0) + num * f.index
-        q = e.pi
-        num = q.numerator
-        if num:
-            den = q.denominator
-            t_pi[den] = t_pi.get(den, 0) + num
-            s_pi[den] = s_pi.get(den, 0) + num * f.index
+        if pi_num:
+            t_pi[pi_den] = t_pi.get(pi_den, 0) + pi_num
+            s_pi[pi_den] = s_pi.get(pi_den, 0) + pi_num * f.index
     return Signature(
         _of(_sum_over_denominators(t_rat), _sum_over_denominators(t_pi)),
         _of(_sum_over_denominators(s_rat), _sum_over_denominators(s_pi)),

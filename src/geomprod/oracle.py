@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .exact import _integers
 from .identities import FamilyQuery, Identity
 from .model import SequenceSpec, _as_int, _as_real, evaluate, signature
 
@@ -201,10 +202,13 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     subtracts its term without the multiply (exact in IEEE 754).
     """
     factors = ident.lhs.factors + ident.rhs.factors
+    # the integers each exponent keeps: (rat, pi) as numerators and denominators
+    ints = [f.exponent._ints or _integers(f.exponent) for f in factors]
     try:
-        # float() rounds a Fraction correctly, so abs(float(q)) == float(abs(q)):
-        # one conversion per component serves the bound and the coefficients
-        parts = [(float(f.exponent.rat), float(f.exponent.pi)) for f in factors]
+        # num / den is float() of a Fraction, rounded correctly, so
+        # abs(float(q)) == float(abs(q)): one conversion per component serves
+        # the bound and the coefficients
+        parts = [(num / den, pi_num / pi_den) for num, den, pi_num, pi_den in ints]
         weight = sum((abs(q) + abs(p) * math.pi) * f.index for (q, p), f in zip(parts, factors))
         reach = _MAX_LOG * max(ident.lhs.max_index(), ident.rhs.max_index())
     except OverflowError:
@@ -216,7 +220,7 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     import numpy as np
 
     # ExactExponent.to_real of each exponent, rhs negated
-    coeffs = [q + p * math.pi if f.exponent.pi else q for (q, p), f in zip(parts, factors)]
+    coeffs = [q + p * math.pi if pi_num else q for (q, p), (_, _, pi_num, _) in zip(parts, ints)]
     n_lhs = len(ident.lhs.factors)
     coeffs[n_lhs:] = [-c for c in coeffs[n_lhs:]]
     steps = [f.index - 1 for f in factors]

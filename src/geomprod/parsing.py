@@ -21,15 +21,21 @@ with the offending position; an index below 1 raises
 
 Reading runs one path.  A term scanner reads the text first, one
 compiled-regex match per term and the separator after it (``*``, ``=`` or
-the end), and returns the terms of every product it finds, split at ``=``.
-It reads a term's index and the whole spelling of its exponent: a signed
-rational, as in ``a3^-1/2``, or a parenthesized body without nested
-parentheses, as in ``a3^(1/2 + pi)``.  The token parser, :class:`_Parser`,
-reads each new exponent spelling once.  It also reads the whole text, once,
-when the scanner cannot finish it (the literal ``1``, an index below 1, any
-error) or finds a number of products other than the one or two asked for.
-So ``_Parser`` alone turns exponent text into exponents, and every error,
-with its position, expected and found text, comes from that one place.
+the end).  It reads a term's index and the whole spelling of its exponent:
+a signed rational, as in ``a3^-1/2``, or a parenthesized body without
+nested parentheses, as in ``a3^(1/2 + pi)``.  It merges the terms of each
+product, split at ``=``, as it reads them: a product is one
+``{index: exponent}`` dict in which a repeated index adds its exponent,
+left to right, as :func:`normalize` adds it.  Each product is then built
+from its dict in index order with zero sums dropped, with no second pass
+and no per-term check, since the scanner reads only indices of at least 1.
+The token parser, :class:`_Parser`, reads each new exponent spelling once.
+It also reads the whole text, once, when the scanner cannot finish it (the
+literal ``1``, an index below 1, any error) or finds a number of products
+other than the one or two asked for; its (index, exponent) pairs go
+through :func:`normalize`.  So ``_Parser`` alone turns exponent text into
+exponents, and every error, with its position, expected and found text,
+comes from that one place.
 
 The scanner keeps the exponents it read in a module-level table keyed by
 their spelling, the text after ``^``, and its factors share them.  Texts
@@ -42,7 +48,8 @@ characters, which keeps it small and keeps every entry valid under any
 a spelling that long always converts, and a longer one is read afresh
 each time, where a lowered limit still makes it a :class:`ParseError`.
 Each exponent keeps the text :func:`render` writes for it, in either
-style, so a shared exponent is written once, not once per render.
+style, so a shared exponent is written once, not once per render.  Each
+style's writer reads the kept text and makes one f-string per factor.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import ONE, PI, ExactExponent, _of
+from .exact import ONE, PI, ExactExponent, _integers, _of
 from .identities import Identity
-from .model import InvalidIndexError, StringProduct, normalize
+from .model import Factor, InvalidIndexError, StringProduct, _factor, _product, normalize
 
 __all__ = ["ParseError", "parse_product", "parse_identity", "render", "render_identity"]
 
@@ -233,14 +240,16 @@ _EXPONENTS_MAX = 1024  # entries
 _SPELLING_MAX = 32  # characters
 
 
-def _scan(text: str) -> list[list[tuple[int, ExactExponent]]] | None:
-    """The (index, exponent) pairs of every product in the text, split at "=".
+def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
+    """The terms of every product in the text, split at "=", merged as read.
 
-    None when the text needs _Parser: it alone reads rare forms in full and
-    raises every error.
+    Each product is an ``{index: exponent}`` dict in which a repeated index
+    adds its exponent to the sum so far, left to right, as :func:`normalize`
+    adds it; a sum may be zero.  None when the text needs _Parser: it alone
+    reads rare forms in full and raises every error.
     """
     out = []
-    pairs: list[tuple[int, ExactExponent]] = []
+    terms: dict[int, ExactExponent] = {}
     pos = 0
     match = _TERM_RE.match
     exponents = _EXPONENTS
@@ -263,15 +272,30 @@ def _scan(text: str) -> list[list[tuple[int, ExactExponent]]] | None:
                     reader.end()
                     if len(spelling) <= _SPELLING_MAX and len(exponents) < _EXPONENTS_MAX:
                         exponents[spelling] = exp
-            pairs.append((index, exp))
+            prev = terms.get(index)
+            terms[index] = exp if prev is None else prev + exp
             pos = m.end()
             if sep != "*":
-                out.append(pairs)
+                out.append(terms)
                 if not sep:
                     return out
-                pairs = []
+                terms = {}
     except ValueError:  # ParseError, or a digit run int() refuses
         return None
+
+
+def _merged(terms: dict[int, ExactExponent]) -> StringProduct:
+    """The product of the scanner's merged terms: zero sums dropped, in index order.
+
+    The scanner's indices are ints of at least 1 and its exponents are
+    ExactExponents, so the private constructors take them unchecked.
+    """
+    factors = []
+    for index, e in sorted(terms.items()):
+        ints = e._ints or _integers(e)
+        if ints[0] or ints[2]:
+            factors.append(_factor(index, e))
+    return _product(tuple(factors))
 
 
 def _read(text: str, sides: int) -> list[StringProduct]:
@@ -280,14 +304,15 @@ def _read(text: str, sides: int) -> list[StringProduct]:
     _Parser reads the whole text if the scanner cannot or finds more or fewer.
     """
     products = _scan(text)
-    if products is None or len(products) != sides:
-        parser = _Parser(text)
-        products = [parser.product()]
-        for _ in range(1, sides):
-            parser.expect("=")
-            products.append(parser.product())
-        parser.end()
-    return [normalize(pairs) for pairs in products]
+    if products is not None and len(products) == sides:
+        return [_merged(terms) for terms in products]
+    parser = _Parser(text)
+    pairs = [parser.product()]
+    for _ in range(1, sides):
+        parser.expect("=")
+        pairs.append(parser.product())
+    parser.end()
+    return [normalize(p) for p in pairs]
 
 
 def parse_product(text: str) -> StringProduct:
@@ -300,11 +325,28 @@ def parse_identity(text: str) -> Identity:
     return Identity(*_read(text, 2))
 
 
-# style -> (term, powered term, joiner, exponent writer)
-_STYLES = {
-    "text": ("a{}", "a{}^({})", "*", ExactExponent.__str__),
-    "latex": ("a_{{{}}}", "a_{{{}}}^{{{}}}", " \\cdot ", ExactExponent.to_latex),
-}
+# Each writer reads an exponent's kept text as a field, and calls the
+# exponent's writer only when no text is kept yet.
+def _write_text(factors: tuple[Factor, ...]) -> str:
+    out = []
+    for f in factors:
+        e = f.exponent
+        text = e._text or str(e)
+        out.append(f"a{f.index}" if text == "1" else f"a{f.index}^({text})")
+    return "*".join(out)
+
+
+def _write_latex(factors: tuple[Factor, ...]) -> str:
+    out = []
+    for f in factors:
+        e = f.exponent
+        text = e._latex or e.to_latex()
+        out.append(f"a_{{{f.index}}}" if text == "1" else f"a_{{{f.index}}}^{{{text}}}")
+    return " \\cdot ".join(out)
+
+
+# style -> writer of a nonempty product's factors
+_STYLES = {"text": _write_text, "latex": _write_latex}
 
 
 def render(p: StringProduct, style: str = "text") -> str:
@@ -314,16 +356,12 @@ def render(p: StringProduct, style: str = "text") -> str:
     as "1".
     """
     try:
-        term, powered, joiner, exponent = _STYLES[style]
+        write = _STYLES[style]
     except (KeyError, TypeError):  # TypeError: an unhashable style
         raise ValueError(f"unknown render style {style!r}") from None
     if p.is_empty():
         return "1"
-    out = []
-    for f in p.factors:
-        text = exponent(f.exponent)
-        out.append(term.format(f.index) if text == "1" else powered.format(f.index, text))
-    return joiner.join(out)
+    return write(p.factors)
 
 
 def render_identity(ident: Identity, style: str = "text") -> str:

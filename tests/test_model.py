@@ -1,8 +1,10 @@
 """Core model: normalization, signatures, equivalence, evaluation."""
 
 import copy
+import fractions
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from geomprod import (
     normalize,
     power,
     product,
+    render,
     signature,
 )
 
@@ -141,6 +144,43 @@ class TestNormalize:
             Factor(3, ExactExponent(0))
 
 
+class TestPublicConstructors:
+    """Factor and StringProduct coerce or reject their arguments as normalize does."""
+
+    def test_bool_index_is_stored_as_int(self):
+        f = Factor(True, ExactExponent(1))
+        assert type(f.index) is int and f == Factor(1, ExactExponent(1))
+        assert render(StringProduct((f,))) == "a1"
+
+    def test_float_index_is_rejected(self):
+        with pytest.raises(TypeError, match="^index must be an integer, got 2.5$"):
+            Factor(2.5, ExactExponent(1))
+
+    def test_string_index_is_rejected(self):
+        with pytest.raises(TypeError, match="^index must be an integer, got '3'$"):
+            Factor("3", ExactExponent(1))
+
+    def test_fraction_exponent_is_coerced(self):
+        f = Factor(3, Fraction(1, 2))
+        assert f == Factor(3, ExactExponent(Fraction(1, 2)))
+        assert type(f.exponent) is ExactExponent
+        assert signature(StringProduct((f,))) == signature(normalize([(3, Fraction(1, 2))]))
+
+    def test_int_exponent_is_coerced(self):
+        f = Factor(3, 2)
+        assert f == Factor(3, ExactExponent(2)) and type(f.exponent) is ExactExponent
+        with pytest.raises(ValueError, match="zero exponent"):
+            Factor(3, 0)
+        with pytest.raises(TypeError):
+            Factor(3, 2.5)
+
+    def test_product_member_must_be_a_factor(self):
+        with pytest.raises(TypeError, match="^factors must be Factor instances, got 'x'$"):
+            StringProduct(("x",))
+        with pytest.raises(TypeError):
+            StringProduct(((3, ExactExponent(1)),))
+
+
 class TestSignature:
     def test_pair_example(self):
         sig = signature(normalize([(4, 1), (3, 1)]))
@@ -176,6 +216,28 @@ class TestSignature:
         ]
         for p in cases:
             assert signature(p) == reference_signature(p)
+
+    def test_fraction_work_is_per_exponent_not_per_factor(self):
+        # 2,000 factors share 3 exponent objects; signature reads the
+        # integers each keeps, so the calls into fractions.py (the kept
+        # integers' first writes, the four sums) do not grow with the factors
+        spellings = [ExactExponent(Fraction(1, 2)), ExactExponent(-3), ExactExponent(2, Fraction(1, 3))]
+        p = normalize((b, spellings[b % 3]) for b in range(1, 2001))
+        assert len(p.factors) == 2000 and len({id(f.exponent) for f in p.factors}) == 3
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            sig = signature(p)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 50
+        assert sig == reference_signature(p)
 
 
 class TestEquivalence:

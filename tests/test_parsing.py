@@ -23,6 +23,7 @@ from geomprod import (
     parse_product,
     render,
     render_identity,
+    signature,
 )
 from geomprod import parsing
 
@@ -249,6 +250,31 @@ class TestRender:
         with pytest.raises(ValueError):
             render(normalize([]), "html")
 
+    def test_matches_a_writer_of_the_grammar(self):
+        for p in [
+            normalize([]),
+            normalize([(1, 1), (7, 1), (300, 1)]),
+            normalize([(2, -1), (3, Fraction(-1, 2)), (4, -3), (5, Fraction(-7, 3))]),
+            normalize([
+                (2, ExactExponent(0, 1)), (3, ExactExponent(0, -1)), (4, ExactExponent(0, 6)),
+                (5, ExactExponent(Fraction(1, 2), Fraction(-3, 2))), (6, ExactExponent(-1, 1)),
+            ]),
+            parse_product("a1*a2^(pi)*a3^-1/2*a4^(1/2-pi)*a5*a6^(pi)*a7^-1/2"),
+        ]:
+            for style in ("text", "latex"):
+                assert render(p, style) == _rendered(p, style)
+
+    def test_index_past_the_digit_limit(self):
+        index = 10**700
+        with _int_digit_limit(640):
+            with pytest.raises(ValueError) as formatted:  # the writer before f-strings
+                "a{}".format(index)
+            for exponent in (1, Fraction(1, 2), ExactExponent(0, 1)):
+                for style in ("text", "latex"):
+                    with pytest.raises(ValueError) as info:
+                        render(normalize([(2, 1), (index, exponent)]), style)
+                    assert str(info.value) == str(formatted.value)
+
 
 class TestRoundTrip:
     def test_seeded_products(self):
@@ -360,6 +386,41 @@ class TestTermScanner:
             assert scanned > len(texts) // 3
             assert len(parsing._EXPONENTS) > 500
 
+    def test_merges_as_parser_and_normalize_do(self, monkeypatch):
+        # indices 1-3 make most terms repeat one, so most sums are merged,
+        # some cancel and some cancel and then reappear
+        monkeypatch.setattr(parsing, "_EXPONENTS", {})
+        rng = random.Random(1115)
+        cases = [
+            ([[(3, "2"), (3, "-2"), (3, None)]], "a3^2*a3^-2*a3"),
+            ([[(1, "(pi)"), (1, "(-pi)")], [(2, "(1/2)"), (2, "-1/2"), (2, "(1/2)")]],
+             " a1 ^ (pi) *a1^(-pi) = a2^(1/2)*a2^-1/2 * a2^(1/2)\t"),
+        ]
+        for _ in range(1500):
+            sides = [_merging_terms(rng) for _ in range(rng.randint(1, 2))]
+            text = rng.choice(["=", " = "]).join(
+                rng.choice(["*", " * "]).join(_term_text(rng, *term) for term in terms)
+                for terms in sides
+            )
+            cases.append((sides, text))
+        merged = unmerged = 0
+        for sides, text in cases:
+            parse = parse_product if len(sides) == 1 else parse_identity
+            scanned = parsing._scan(text)
+            assert scanned is not None and len(scanned) == len(sides), text
+            got, expected = parse(text), _parser_only(parse, text)
+            assert got == expected and repr(got) == repr(expected), text
+            for terms, p in zip(sides, [got] if len(sides) == 1 else [got.lhs, got.rhs]):
+                indices = [index for index, _ in terms]
+                merged += len(set(indices)) < len(indices)
+                for f in p.factors:
+                    if indices.count(f.index) == 1:  # read once: the table's own exponent
+                        unmerged += 1
+                        spelling = terms[indices.index(f.index)][1]
+                        kept = parsing.ONE if spelling is None else parsing._EXPONENTS[spelling]
+                        assert f.exponent is kept, text
+        assert merged > len(cases) // 2 and unmerged > 500
+
     def test_scanner_reads_every_render(self, monkeypatch):
         # _Parser reads each new exponent spelling; only a whole text that
         # the scanner leaves to it reaches _Parser.product
@@ -381,6 +442,24 @@ class TestTermScanner:
             "a3^(1/2 + pi - 1/3)", "a3^(pi + pi)", "a3^(2 - pi + 1/2*pi)",
         ]:
             parse_product(text)
+
+
+def _merging_terms(rng: random.Random) -> list[tuple[int, str | None]]:
+    """1 to 8 terms over indices 1-3 as (index, exponent spelling or None)."""
+    return [(rng.randint(1, 3), rng.choice(_MERGE_SPELLINGS)) for _ in range(rng.randint(1, 8))]
+
+
+def _term_text(rng: random.Random, index: int, spelling: str | None) -> str:
+    """The term as text, with whitespace drawn around each of its tokens."""
+    ws = [rng.choice(["", "", " ", "\t "]) for _ in range(5)]
+    exponent = "" if spelling is None else f"{ws[2]}^{ws[3]}{spelling}"
+    return f"{ws[0]}a{ws[1]}{index}{exponent}{ws[4]}"
+
+
+_MERGE_SPELLINGS = [
+    None, "2", "-2", "-1", "0", "(1/2)", "-1/2", "- 1 / 2", "(pi)", "(-pi)", "(1/2+pi)",
+    "( 1/2 - pi )", "(2*pi)", "(-2pi)",
+]
 
 
 @contextmanager
@@ -531,6 +610,9 @@ class TestExponentTable:
     def test_kept_texts_stay_out_of_the_value(self):
         e = parse_product("a3^(1/2-3*pi)").factors[0].exponent
         assert (str(e), e.to_latex()) == _written(Fraction(1, 2), Fraction(-3))
+        # and so do the kept integers, which signature reads
+        sig = signature(normalize([(3, e)]))
+        assert e._ints == (1, 2, -3, 1)
         fresh = ExactExponent(Fraction(1, 2), -3)
         assert repr(e) == repr(fresh) == "ExactExponent(rat=Fraction(1, 2), pi=Fraction(-3, 1))"
         assert e == fresh and hash(e) == hash(fresh) == hash((Fraction(1, 2), Fraction(-3)))
@@ -540,6 +622,10 @@ class TestExponentTable:
         assert old == e
         assert render(normalize([(3, old)])) == "a3^(1/2-3*pi)"
         assert render(normalize([(3, old)]), "latex") == "a_{3}^{1/2-3\\pi}"
+        for back in (pickle.loads(_TWO_FIELD_PICKLE), pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert back._ints is None  # a copy writes its own on first use
+            assert signature(normalize([(3, back)])) == sig
+            assert back._ints == e._ints
 
 
 # Each text has at least 2*10^5 characters; a scanner that backtracks
