@@ -114,9 +114,15 @@ class FamilyQuery:
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
-    """Weighted power form: distinct indices with positive integer weights."""
+    """Weighted power form: distinct indices with positive integer weights.
+
+    Any iterable of (index, weight) pairs is stored as a tuple of 2-tuples.
+    """
 
     parts: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        _set_parts(self, tuple([(b, w) for b, w in self.parts]))
 
     def to_product(self) -> StringProduct:
         return normalize((b, w) for b, w in self.parts)

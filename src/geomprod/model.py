@@ -136,20 +136,22 @@ class Factor:
 class StringProduct:
     """Normalized product of sequence terms.
 
-    Factors are stored sorted by strictly ascending index with no zero
-    exponents; the empty tuple represents the product 1.  Use
-    :func:`normalize` to build one from arbitrary (index, exponent) pairs.
+    Factors, given as any iterable, are stored as a tuple sorted by strictly
+    ascending index with no zero exponents; the empty tuple is the product 1.
+    Use :func:`normalize` to build one from arbitrary (index, exponent) pairs.
     """
 
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self) -> None:
-        for f in self.factors:
+        factors = tuple(self.factors)
+        for f in factors:
             if not isinstance(f, Factor):
                 raise TypeError(f"factors must be Factor instances, got {f!r}")
-        indices = [f.index for f in self.factors]
+        indices = [f.index for f in factors]
         if any(b >= c for b, c in zip(indices, indices[1:])):
             raise ValueError("factors must be sorted by strictly ascending index")
+        _set_factors(self, factors)
 
     def is_empty(self) -> bool:
         return not self.factors
@@ -205,15 +207,7 @@ def normalize(raw_factors: Iterable[tuple[int, ExponentLike]]) -> StringProduct:
             merged[index] = merged[index] + exp
         else:
             merged[index] = exp
-    # indices are checked above and come out sorted and distinct, and zero
-    # exponents are dropped here: the public constructors' checks would pass.
-    # tuple() of a list, not of a generator: CPython sizes a tuple built from
-    # a generator at 10 slots and reallocs it to its length, which moves a
-    # tuple from the 10-slot free list into the free list of its final size
-    # on every call, until those lists fill to their caps and hold memory.
-    return _product(
-        tuple([_factor(index, exp) for index, exp in sorted(merged.items()) if exp.rat or exp.pi])
-    )
+    return _merged(merged)
 
 
 _new = object.__new__
@@ -222,18 +216,23 @@ _set_exponent = Factor.__dict__["exponent"].__set__
 _set_factors = StringProduct.__dict__["factors"].__set__
 
 
-def _factor(index: int, exponent: ExactExponent) -> Factor:
-    """The package's constructor for a validated index and nonzero exponent."""
-    f = _new(Factor)
-    _set_index(f, index)
-    _set_exponent(f, exponent)
-    return f
+def _merged(terms: dict[int, ExactExponent]) -> StringProduct:
+    """The product of merged ``{index: exponent}`` terms: zero sums dropped, in index order.
 
-
-def _product(factors: tuple[Factor, ...]) -> StringProduct:
-    """The package's constructor for factors already sorted by strictly ascending index."""
+    The package's one builder of products from terms.  Every index is an int
+    of at least 1 and every exponent an ExactExponent, so the factors and the
+    product skip the public constructors' checks, which would pass.
+    """
+    factors = []
+    for index, e in sorted(terms.items()):
+        ints = e._ints or _integers(e)
+        if ints[0] or ints[2]:
+            f = _new(Factor)
+            _set_index(f, index)
+            _set_exponent(f, e)
+            factors.append(f)
     p = _new(StringProduct)
-    _set_factors(p, factors)
+    _set_factors(p, tuple(factors))
     return p
 
 

@@ -19,16 +19,19 @@ Parsed products are normalized.  Syntax problems raise :class:`ParseError`
 with the offending position; an index below 1 raises
 :class:`~geomprod.model.InvalidIndexError`.
 
-Reading runs one path.  A term scanner reads the text first, one
-compiled-regex match per term and the separator after it (``*``, ``=`` or
-the end).  It reads a term's index and the whole spelling of its exponent:
-a signed rational, as in ``a3^-1/2``, or a parenthesized body without
-nested parentheses, as in ``a3^(1/2 + pi)``.  It merges the terms of each
-product, split at ``=``, as it reads them: a product is one
+Reading runs one path.  A term scanner reads the text first, with one
+compiled-regex ``findall`` call per text.  Each match is one term and the
+separator after it (``*``, ``=`` or the end); where no term starts, a last
+alternative takes the rest of the text, which leaves the text to the
+parser.  The scanner reads a term's index and the whole spelling of its
+exponent: a signed rational, as in ``a3^-1/2``, or a parenthesized body
+without nested parentheses, as in ``a3^(1/2 + pi)``.  It merges the terms
+of each product, split at ``=``, as it reads them: a product is one
 ``{index: exponent}`` dict in which a repeated index adds its exponent,
 left to right, as :func:`normalize` adds it.  Each product is then built
-from its dict in index order with zero sums dropped, with no second pass
-and no per-term check, since the scanner reads only indices of at least 1.
+from its dict by the builder :func:`normalize` ends with, in index order
+with zero sums dropped, with no second pass and no per-term check, since
+the scanner reads only indices of at least 1.
 The token parser, :class:`_Parser`, reads each new exponent spelling once.
 It also reads the whole text, once, when the scanner cannot finish it (the
 literal ``1``, an index below 1, any error) or finds a number of products
@@ -58,9 +61,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import ONE, PI, ExactExponent, _integers, _of
+from .exact import ONE, PI, ExactExponent, _of
 from .identities import Identity
-from .model import Factor, InvalidIndexError, StringProduct, _factor, _product, normalize
+from .model import Factor, InvalidIndexError, StringProduct, _merged, normalize
 
 __all__ = ["ParseError", "parse_product", "parse_identity", "render", "render_identity"]
 
@@ -215,13 +218,17 @@ class _Parser:
 
 
 # One term and the separator after it: the index, the exponent's whole
-# spelling (the key of _EXPONENTS) and "*", "=" or "" at the end.  Every
-# whitespace run is followed by a character it cannot match, no two runs
-# touch (the optional sign is "(?:-WS)?", never "-?WS"), and a body stops at
-# the first parenthesis, so a failing match backtracks in linear time
-# without atomic groups.  Every digit run is followed by a non-digit and "a"
-# by a non-letter, so the runs are the tokenizer's tokens and _Parser reads
-# a spelling alone as it reads it within the text.
+# spelling (the key of _EXPONENTS, "" for none) and "*", "=" or "" at the
+# end; or, where no term starts, the rest of the text as the fourth group,
+# so findall reads a text with one call.  Every whitespace run is followed
+# by a character it cannot match, no two runs touch (the optional sign is
+# "(?:-WS)?", never "-?WS"), and a body stops at the first parenthesis, so a
+# failing term backtracks in linear time without atomic groups or
+# possessive quantifiers, which Python 3.10 lacks.  Taking the whole rest
+# keeps the call linear: an alternative of one character would retry the
+# term at every character of a whitespace run.  Every digit run is followed
+# by a non-digit and "a" by a non-letter, so the runs are the tokenizer's
+# tokens and _Parser reads a spelling alone as it reads it within the text.
 _WS = r"[ \t\r\n\v\f]*"
 _TERM_RE = re.compile(
     rf"""{_WS}a{_WS}([0-9]+){_WS}
@@ -229,7 +236,8 @@ _TERM_RE = re.compile(
         (?:-{_WS})?[0-9]+(?:{_WS}/{_WS}[0-9]+)?  # ^q
       | \([^()]*\)                             # ^(body)
     ){_WS})?
-    (\*|=|\Z)""",
+    (\*|=|\Z)
+  | ([\s\S]+)                                 # the rest, where no term starts""",
     re.VERBOSE,
 )
 
@@ -250,19 +258,15 @@ def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
     """
     out = []
     terms: dict[int, ExactExponent] = {}
-    pos = 0
-    match = _TERM_RE.match
     exponents = _EXPONENTS
     try:
-        while True:
-            m = match(text, pos)
-            if m is None:
+        for index, spelling, sep, stray in _TERM_RE.findall(text):
+            if stray:
                 return None
-            index, spelling, sep = m.groups()
             index = int(index)
             if index < 1:
                 return None
-            if spelling is None:
+            if not spelling:
                 exp = ONE
             else:
                 exp = exponents.get(spelling)
@@ -274,7 +278,6 @@ def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
                         exponents[spelling] = exp
             prev = terms.get(index)
             terms[index] = exp if prev is None else prev + exp
-            pos = m.end()
             if sep != "*":
                 out.append(terms)
                 if not sep:
@@ -282,20 +285,7 @@ def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
                 terms = {}
     except ValueError:  # ParseError, or a digit run int() refuses
         return None
-
-
-def _merged(terms: dict[int, ExactExponent]) -> StringProduct:
-    """The product of the scanner's merged terms: zero sums dropped, in index order.
-
-    The scanner's indices are ints of at least 1 and its exponents are
-    ExactExponents, so the private constructors take them unchecked.
-    """
-    factors = []
-    for index, e in sorted(terms.items()):
-        ints = e._ints or _integers(e)
-        if ints[0] or ints[2]:
-            factors.append(_factor(index, e))
-    return _product(tuple(factors))
+    return None  # no term, or a text that ends in "*" or "="
 
 
 def _read(text: str, sides: int) -> list[StringProduct]:

@@ -25,6 +25,7 @@ from geomprod import (
     normalize,
     numeric_check,
     OracleConfig,
+    render,
     shift_identity,
     signature,
     solve_rational_weights,
@@ -500,6 +501,18 @@ class TestDecompositionRecord:
             for d in decompose(t, s, parts, l):
                 public = Decomposition(d.parts)
                 assert d == public and hash(d) == hash(public) and repr(d) == repr(public)
+
+    @pytest.mark.parametrize(
+        "kind", [list, tuple, lambda xs: (x for x in xs)], ids=["list", "tuple", "generator"]
+    )
+    def test_parts_are_stored_as_tuples(self, kind):
+        # each part given as a list, too, is stored as a 2-tuple
+        d, expected = Decomposition(kind([[2, 1], [5, 2]])), Decomposition(((2, 1), (5, 2)))
+        assert type(d.parts) is tuple and all(type(part) is tuple for part in d.parts)
+        assert d == expected and hash(d) == hash(expected)
+        # read twice: parts kept as the iterator given would be empty the second time
+        assert d.to_json_dict() == d.to_json_dict() == expected.to_json_dict()
+        assert render(d.to_product()) == render(expected.to_product()) == "a2*a5^(2)"
 
     def test_pickle_copy_and_no_dict(self):
         for d in decompose(6, 30, 3, 9) + decompose(2, 8, 1, 8):

@@ -180,6 +180,18 @@ class TestPublicConstructors:
         with pytest.raises(TypeError):
             StringProduct(((3, ExactExponent(1)),))
 
+    @pytest.mark.parametrize(
+        "kind", [list, tuple, lambda xs: (x for x in xs)], ids=["list", "tuple", "generator"]
+    )
+    def test_factors_are_stored_as_a_tuple(self, kind):
+        factors = (Factor(3, 1), Factor(5, Fraction(1, 2)))
+        p, expected = StringProduct(kind(factors)), StringProduct(factors)
+        assert type(p.factors) is tuple
+        assert p == expected and hash(p) == hash(expected)
+        assert render(p) == render(expected) == "a3*a5^(1/2)"
+        assert p.to_json_dict() == expected.to_json_dict()
+        assert signature(p) == signature(expected) != signature(StringProduct())
+
 
 class TestSignature:
     def test_pair_example(self):

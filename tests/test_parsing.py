@@ -443,6 +443,39 @@ class TestTermScanner:
         ]:
             parse_product(text)
 
+    def test_one_pattern_call_per_text(self, monkeypatch):
+        # the scanner reads a whole text with one call into its pattern; a
+        # loop that matched one term per call would make one call per term
+        pattern, calls = parsing._TERM_RE, []
+
+        class Counting:
+            def __getattr__(self, name):
+                method = getattr(pattern, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(parsing, "_TERM_RE", Counting())
+        rng = random.Random(1116)
+        texts = ["a3^2*a3^-2*a3", " a1 ^ (pi) *a1^(-pi) = a2^(1/2)*a2^-1/2 * a2^(1/2)\t"]
+        texts += [
+            " = ".join(
+                "*".join(_term_text(rng, *term) for term in _merging_terms(rng))
+                for _ in range(sides)
+            )
+            for sides in [1, 2] * 100
+        ]
+        for text in texts:
+            del calls[:]
+            sides = text.count("=") + 1
+            assert len(parsing._scan(text)) == sides and len(calls) == 1, (text, calls)
+            del calls[:]
+            (parse_product if sides == 1 else parse_identity)(text)
+            assert len(calls) == 1, (text, calls)
+
 
 def _merging_terms(rng: random.Random) -> list[tuple[int, str | None]]:
     """1 to 8 terms over indices 1-3 as (index, exponent spelling or None)."""
@@ -658,6 +691,18 @@ class TestLinearTime:
         with pytest.raises(ParseError):
             parse_product(text)
         assert time.perf_counter() - start < _BOUND_S
+
+    @pytest.mark.parametrize("tail", [" x", f"{_RUN}x"], ids=["stray", "run-stray"])
+    def test_long_prefix_then_stray_fails_fast(self, tail):
+        # the scanner reads every term of the prefix before it meets the
+        # stray character; then _Parser reads the whole text and raises
+        text = "*".join(["a3^(1/2+pi)"] * 50_000) + tail
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as caught:
+            parse_product(text)
+        assert time.perf_counter() - start < _BOUND_S
+        err = caught.value
+        assert (err.position, err.expected, err.found) == (len(text) - 1, "end of input", "'x'")
 
     def test_many_terms_parse_fast(self):
         start = time.perf_counter()
