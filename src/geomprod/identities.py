@@ -27,15 +27,18 @@ candidate instead of testing candidates one by one.  The walk hands over
 its deepest level whole: it is a generator that yields one batch of heads
 at a time, when asked, and each enumerator is one comprehension over those
 batches that fills the last three slots of a family, or the last two bases
-of a decomposition, below each head.  A walk with no level to choose yields
-one head with an empty value.  The last slot takes what remains; the last
-weight d of a decomposition runs down from the largest that leaves room to
-the least that keeps its base within ``max_index``, and a row is kept when
-d divides what remains.  A family walk therefore costs in proportion to the
-rows it returns times ``t``, not to ``max_index``; a decomposition also
-tests each d, two or three per row on dense queries but 365,516 for the
-4,566 rows of ``decompose(1000, 600000, 2, 1000)``.  Output matches a
-brute-force filter.  All listings come out in lexicographic order and are
+of a decomposition, below each head.  A family row is one tuple: the head's
+value and the last three indices, behind the values chosen above the head.
+Families of at most three terms do not walk, and a walk with no level to
+choose (a two-part decomposition) yields one head with an empty value.
+The last slot takes what remains; the last weight d of a decomposition runs
+down from the largest that leaves room to the least that keeps its base
+within ``max_index``, and a row is kept when d divides what remains.  A
+family walk therefore costs in proportion to the rows it returns times
+``t``, not to ``max_index``; a decomposition also tests each d, two or
+three per row on dense queries but 365,516 for the 4,566 rows of
+``decompose(1000, 600000, 2, 1000)``.  Output matches a brute-force
+filter.  All listings come out in lexicographic order and are
 byte-reproducible.
 
 :func:`decompose` runs its walk with the cyclic garbage collector paused and
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import as_rational
-from .model import Signature, StringProduct, _as_int, normalize, signature
+from .model import InvalidIndexError, Signature, StringProduct, _as_int, normalize, signature
 
 __all__ = [
     "InvalidShiftError",
@@ -117,12 +120,26 @@ class Decomposition:
     """Weighted power form: distinct indices with positive integer weights.
 
     Any iterable of (index, weight) pairs is stored as a tuple of 2-tuples.
+    Each index and weight is coerced as :class:`Factor` coerces an index (a
+    bool is stored as ``int``, a non-integer raises :class:`TypeError`); an
+    index below 1 raises :class:`InvalidIndexError`, and a weight below 1 or
+    indices that do not strictly ascend raise :class:`ValueError`.
     """
 
     parts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _set_parts(self, tuple([(b, w) for b, w in self.parts]))
+        parts = tuple([(_as_int("index", b), _as_int("weight", w)) for b, w in self.parts])
+        last = 0
+        for b, w in parts:
+            if b < 1:
+                raise InvalidIndexError(f"term index must be >= 1, got {b}")
+            if w < 1:
+                raise ValueError(f"weights must be >= 1, got {w}")
+            if b <= last:
+                raise ValueError("parts must be sorted by strictly ascending index")
+            last = b
+        _set_parts(self, parts)
 
     def to_product(self) -> StringProduct:
         return normalize((b, w) for b, w in self.parts)
@@ -220,9 +237,9 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
     yields the empty list.  Every member converted to a product has
     signature exactly ``(t, subscript_sum)``.
     """
-    t, l, rep = query.t, query.max_index, query.repetition
+    t, s, l, rep = query.t, query.subscript_sum, query.max_index, query.repetition
     if t == 1:
-        return [(query.subscript_sum,)] if query.subscript_sum <= l else []
+        return [(s,)] if s <= l else []
     step = 0 if rep else 1  # least gap between neighbouring values
 
     def candidates(min_value: int, slots: int, remaining: int) -> range:
@@ -240,25 +257,35 @@ def enumerate_family(query: FamilyQuery) -> list[tuple[int, ...]]:
         return range(max(min_value, remaining - largest), last + 1)
 
     if t == 2:
-        s = query.subscript_sum
         return [(v, s - v) for v in candidates(1, 2, s)]
+
+    # Below each first value v of the last three slots, the middle value w
+    # ranges over candidates(v + step, 2, rv), spelled out, and the last
+    # takes what remains.  Three slots need no walk.
+    if t == 3:
+        return [
+            (v, w, rv - w)
+            for v in candidates(1, 3, s)
+            for rv in (s - v,)
+            for w in range(max(v + step, rv - l), (rv - step) // 2 + 1)
+        ]
 
     def children(min_value: int, slots: int, remaining: int) -> Iterator[tuple[int, tuple]]:
         # candidates() with the state each value leaves the next slot
         for v in candidates(min_value, slots, remaining):
             yield v, (v + step, slots - 1, remaining - v)
 
-    # One comprehension over the walk's batches fills the last three slots:
-    # below each head, the middle value w ranges over
-    # candidates(v + step, 2, r - v), spelled out, and the last takes what
-    # remains.  An empty value (the walk's root) adds nothing to the prefix.
+    # One comprehension over the walk's batches fills the last three slots as
+    # above, and each row is one tuple display: the head's value and the last
+    # three indices, behind the prefix of the t - 4 values above the head (at
+    # t = 4 that is (), and () + row is the row itself, not a copy).
     return [
-        pre + (v, w, r - v - w)
-        for prefix, heads in _walk(t - 3, (1, t, query.subscript_sum), children)
+        prefix + (value, v, w, rv - w)
+        for prefix, heads in _walk(t - 3, (1, t, s), children)
         for value, (min_value, _, r) in heads
-        for pre in (prefix + (value,) if value else prefix,)
         for v in candidates(min_value, 3, r)
-        for w in range(max(v + step, r - v - l), (r - v - step) // 2 + 1)
+        for rv in (r - v,)
+        for w in range(max(v + step, rv - l), (rv - step) // 2 + 1)
     ]
 
 

@@ -14,6 +14,7 @@ from geomprod import (
     ExactExponent,
     FamilyQuery,
     Identity,
+    InvalidIndexError,
     InvalidShiftError,
     NoSolutionError,
     Signature,
@@ -92,10 +93,20 @@ class TestEnumerateFamily:
                         FamilyQuery(5, s, l, rep)
                     ) == brute_force_family(5, s, l, rep), (s, l, rep)
 
-    @pytest.mark.parametrize("t", [6, 7])
-    def test_matches_combinations_past_brute_force_range(self, t):
-        # brute_force_family stops at t = 5; group every combination by sum
-        for l in range(1, 13):
+    @pytest.mark.parametrize(
+        "t, ls, spread",
+        [
+            pytest.param(6, range(1, 13), None, id="6"),
+            pytest.param(7, range(1, 13), None, id="7"),
+            # the dense families the benchmark times: l = 40 to 60, sums
+            # within 4 of 2(l + 1)
+            pytest.param(4, (40, 60), 4, id="4-dense"),
+        ],
+    )
+    def test_matches_combinations_past_brute_force_range(self, t, ls, spread):
+        # brute_force_family stops at t = 5 and l = 15; group every
+        # combination by sum
+        for l in ls:
             for rep in (False, True):
                 combine = (
                     itertools.combinations_with_replacement
@@ -105,7 +116,11 @@ class TestEnumerateFamily:
                 by_sum = {}
                 for c in combine(range(1, l + 1), t):
                     by_sum.setdefault(sum(c), []).append(c)
-                for s in range(1, t * l + 2):
+                if spread is None:
+                    sums = range(1, t * l + 2)
+                else:
+                    sums = range(2 * (l + 1) - spread, 2 * (l + 1) + spread + 1)
+                for s in sums:
                     got = enumerate_family(FamilyQuery(t, s, l, rep))
                     assert got == by_sum.get(s, []), (t, s, l, rep)
 
@@ -501,6 +516,23 @@ class TestDecompositionRecord:
             for d in decompose(t, s, parts, l):
                 public = Decomposition(d.parts)
                 assert d == public and hash(d) == hash(public) and repr(d) == repr(public)
+
+    @pytest.mark.parametrize(
+        "parts, error, match",
+        [
+            ([(2, 1), (2, 1)], ValueError, "strictly ascending"),
+            ([(3, 0), (5, -2)], ValueError, "^weights must be >= 1, got 0"),
+            ([(2.5, 1)], TypeError, "^index must be an integer"),
+            ([(5, 1), (2, 1)], ValueError, "strictly ascending"),
+            ([(0, 1)], InvalidIndexError, "^term index must be >= 1"),
+            ([(2, 1.0)], TypeError, "^weight must be an integer"),
+        ],
+        ids=["repeated", "weights", "float-index", "descending", "zero-index", "float-weight"],
+    )
+    def test_bad_parts_raise(self, parts, error, match):
+        with pytest.raises(error, match=match) as raised:
+            Decomposition(parts)
+        assert type(raised.value) is error
 
     @pytest.mark.parametrize(
         "kind", [list, tuple, lambda xs: (x for x in xs)], ids=["list", "tuple", "generator"]
