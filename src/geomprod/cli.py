@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -46,6 +47,33 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+# The integer option syntax, as in as_rational: int() alone also reads
+# underscores, a leading "+", surrounding spaces and non-ASCII digits.
+_INT = r"-?[0-9]+"
+_INT_RE = re.compile(_INT)
+_PAIR_RE = re.compile(f"({_INT}),({_INT})")
+
+
+def _integer(text: str) -> int:
+    """An optional "-" then ASCII digits; :class:`ValueError` otherwise."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"invalid int value: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # a digit run longer than the interpreter converts
+        raise ValueError(
+            f"cannot interpret {len(text.lstrip('-'))} digits as an integer "
+            f"(expected at most {sys.get_int_max_str_digits()} digits)"
+        ) from None
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return _integer(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -86,37 +114,37 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     p = command("check", "verify an identity symbolically (and optionally numerically)", _cmd_check)
     p.add_argument("identity", help='e.g. "a4*a3 = a6*a1"')
-    p.add_argument("--trials", type=int, default=None, help="also run the numeric check")
-    p.add_argument("--seed", type=int, default=0, help="numeric check seed")
+    p.add_argument("--trials", type=_int_arg, default=None, help="also run the numeric check")
+    p.add_argument("--seed", type=_int_arg, default=0, help="numeric check seed")
 
     p = command("canon", "canonical form and signature of a product", _cmd_canon)
     p.add_argument("product", help='e.g. "a4*a3^(1/2)"')
 
     p = command("family", "list index multisets with a given size and subscript sum", _cmd_family)
-    p.add_argument("--t", type=int, required=True, help="terms per product")
-    p.add_argument("--sum", type=int, required=True, help="target subscript sum")
-    p.add_argument("--max-index", type=int, required=True, help="largest usable index")
+    p.add_argument("--t", type=_int_arg, required=True, help="terms per product")
+    p.add_argument("--sum", type=_int_arg, required=True, help="target subscript sum")
+    p.add_argument("--max-index", type=_int_arg, required=True, help="largest usable index")
     p.add_argument("--repetition", action="store_true", help="allow repeated indices")
 
     p = command("decompose", "weighted power forms matching a signature", _cmd_decompose)
-    p.add_argument("--t", type=int, required=True, help="total weight")
-    p.add_argument("--sum", type=int, required=True, help="target subscript sum")
-    p.add_argument("--parts", type=int, required=True, help="number of distinct bases")
-    p.add_argument("--max-index", type=int, required=True, help="largest usable index")
+    p.add_argument("--t", type=_int_arg, required=True, help="total weight")
+    p.add_argument("--sum", type=_int_arg, required=True, help="target subscript sum")
+    p.add_argument("--parts", type=_int_arg, required=True, help="number of distinct bases")
+    p.add_argument("--max-index", type=_int_arg, required=True, help="largest usable index")
 
     p = command("collapse", "express a product as a power of one term, if possible", _cmd_collapse)
     p.add_argument("product")
 
     p = command("solve", "rational weights sending two terms onto a power of a third", _cmd_solve)
     p.add_argument("--indices", required=True, metavar="I,J", help="source indices")
-    p.add_argument("--target", type=int, required=True, help="target index")
+    p.add_argument("--target", type=_int_arg, required=True, help="target index")
     p.add_argument("--total", type=_fraction_arg, required=True, help="target exponent, e.g. 3/2")
 
     p = command("eval", "evaluate a product on a concrete sequence", _cmd_eval)
     p.add_argument("product")
     p.add_argument("--a1", type=float, required=True, help="first term (positive)")
     p.add_argument("--r", type=float, required=True, help="common ratio (positive)")
-    p.add_argument("--max-index", type=int, default=None, help="sequence length (default: inferred)")
+    p.add_argument("--max-index", type=_int_arg, default=None, help="sequence length (default: inferred)")
 
     return flags, parser
 
@@ -198,11 +226,10 @@ def _cmd_collapse(args) -> _Result:
 
 
 def _cmd_solve(args) -> _Result:
-    try:
-        i_text, j_text = args.indices.split(",")
-        i, j = int(i_text), int(j_text)
-    except ValueError:
+    pair = _PAIR_RE.fullmatch(args.indices)
+    if pair is None:
         raise ValueError(f"--indices expects two integers like 5,2, got {args.indices!r}")
+    i, j = map(_integer, pair.groups())
     w1, w2 = solve_rational_weights(i, j, args.target, args.total)
     sources = [(b, w) for b, w in ((i, w1), (j, w2)) if w != 0]
     lhs_text = " * ".join(f"a{b}^{_weight_text(w)}" for b, w in sources) or "1"

@@ -78,27 +78,24 @@ class ExactExponent:
 
     Beside the texts it keeps the integers of its components, ``(rat's
     numerator, rat's denominator, pi's numerator, pi's denominator)``, in
-    the private field ``_ints``, written on first use by :func:`_integers`.
-    The package's per-factor loops (the signature, the zero test of a
-    product merged while scanning, the oracle's float parts) read them
-    there, so a shared exponent's Fraction properties run once, not once
-    per factor.  The texts and the integers take no part in ``repr``,
-    comparison, hashing or pickling.  Two threads may both write a text or
-    the integers first; each stores an equal value, so either write is
-    harmless.
+    the private field ``_ints``, built with the exponent.  The package's
+    per-factor loops (the signature, the zero test of a product merged
+    while scanning, the oracle's float parts) read them there, so a shared
+    exponent's Fraction properties run once, not once per factor.  The
+    texts and the integers take no part in ``repr``, comparison, hashing or
+    pickling.  Two threads may both write a text first; each stores an
+    equal value, so either write is harmless.
     """
 
     rat: Fraction = Fraction(0)
     pi: Fraction = Fraction(0)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
-    _latex: str | None = field(default=None, init=False, repr=False, compare=False)
-    _ints: tuple[int, int, int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # written by _fill, not by the dataclass's __init__
+    _text: str | None = field(init=False, repr=False, compare=False)
+    _latex: str | None = field(init=False, repr=False, compare=False)
+    _ints: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _set_rat(self, as_rational(self.rat))
-        _set_pi(self, as_rational(self.pi))
+        _fill(self, as_rational(self.rat), as_rational(self.pi))
 
     # The state is the two components alone: a pickle carries no text and
     # no integers, and a two-component state loads whichever version wrote it.
@@ -107,15 +104,11 @@ class ExactExponent:
 
     def __setstate__(self, state: list[Fraction]) -> None:
         rat, pi = state
-        _set_rat(self, rat)
-        _set_pi(self, pi)
-        _set_text(self, None)
-        _set_latex(self, None)
-        _set_ints(self, None)
+        _fill(self, rat, pi)
 
-    # A zero component is added or subtracted without Fraction arithmetic:
-    # parsed exponents are mostly purely rational or purely pi, and a
-    # Fraction sum costs a gcd where returning the other operand costs none.
+    # A zero component is added without Fraction arithmetic: parsed
+    # exponents are mostly purely rational or purely pi, and a Fraction sum
+    # costs a gcd where returning the other operand costs none.
     def __add__(self, other: ExactExponent) -> ExactExponent:
         if not isinstance(other, ExactExponent):
             return NotImplemented
@@ -125,8 +118,7 @@ class ExactExponent:
     def __sub__(self, other: ExactExponent) -> ExactExponent:
         if not isinstance(other, ExactExponent):
             return NotImplemented
-        a, b, p, q = self.rat, other.rat, self.pi, other.pi
-        return _of((a - b if a else -b) if b else a, (p - q if p else -q) if q else p)
+        return self + -other
 
     def __neg__(self) -> ExactExponent:
         return _of(-self.rat, -self.pi)
@@ -198,6 +190,15 @@ _set_latex = ExactExponent.__dict__["_latex"].__set__
 _set_ints = ExactExponent.__dict__["_ints"].__set__
 
 
+def _fill(e: ExactExponent, rat: Fraction, pi: Fraction) -> None:
+    """Write every slot of ``e``: its components, their integers and no texts yet."""
+    _set_rat(e, rat)
+    _set_pi(e, pi)
+    _set_ints(e, rat.as_integer_ratio() + pi.as_integer_ratio())
+    _set_text(e, None)
+    _set_latex(e, None)
+
+
 def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
     """The package's constructor for components that are Fractions already.
 
@@ -205,23 +206,8 @@ def _of(rat: Fraction, pi: Fraction) -> ExactExponent:
     returns Fractions, so results built here keep the field types.
     """
     e = _new(ExactExponent)
-    _set_rat(e, rat)
-    _set_pi(e, pi)
-    _set_text(e, None)
-    _set_latex(e, None)
-    _set_ints(e, None)
+    _fill(e, rat, pi)
     return e
-
-
-def _integers(e: ExactExponent) -> tuple[int, int, int, int]:
-    """The integers ``e`` keeps, written now if this is their first use.
-
-    Readers take ``e._ints or _integers(e)``: a kept 4-tuple is never false.
-    """
-    rat, pi = e.rat, e.pi
-    ints = (rat.numerator, rat.denominator, pi.numerator, pi.denominator)
-    _set_ints(e, ints)
-    return ints
 
 
 ONE = ExactExponent(1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import ExactExponent, RationalLike, _integers, _of, as_rational
+from .exact import ExactExponent, RationalLike, _of, as_rational
 
 __all__ = [
     "InvalidIndexError",
@@ -225,7 +225,7 @@ def _merged(terms: dict[int, ExactExponent]) -> StringProduct:
     """
     factors = []
     for index, e in sorted(terms.items()):
-        ints = e._ints or _integers(e)
+        ints = e._ints
         if ints[0] or ints[2]:
             f = _new(Factor)
             _set_index(f, index)
@@ -241,8 +241,8 @@ def signature(p: StringProduct) -> Signature:
 
     One pass over the factors sums integer numerators per denominator for
     each of the four components (T and S, rational and pi parts); each
-    component becomes a single Fraction at the end.  The integers come from
-    those each exponent keeps (see :class:`~geomprod.exact.ExactExponent`),
+    component becomes a single Fraction at the end.  The integers are those
+    each exponent is built with (see :class:`~geomprod.exact.ExactExponent`),
     so the Fraction properties run once per distinct exponent object, not
     once per factor.
     """
@@ -251,8 +251,7 @@ def signature(p: StringProduct) -> Signature:
     t_pi: dict[int, int] = {}
     s_pi: dict[int, int] = {}
     for f in p.factors:
-        e = f.exponent
-        num, den, pi_num, pi_den = e._ints or _integers(e)
+        num, den, pi_num, pi_den = f.exponent._ints
         if num:
             t_rat[den] = t_rat.get(den, 0) + num
             s_rat[den] = s_rat.get(den, 0) + num * f.index

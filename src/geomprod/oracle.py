@@ -30,7 +30,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .exact import _integers
 from .identities import FamilyQuery, Identity
 from .model import SequenceSpec, _as_int, _as_real, evaluate, signature
 
@@ -203,7 +202,7 @@ def numeric_check(ident: Identity, cfg: OracleConfig) -> CheckReport:
     """
     factors = ident.lhs.factors + ident.rhs.factors
     # the integers each exponent keeps: (rat, pi) as numerators and denominators
-    ints = [f.exponent._ints or _integers(f.exponent) for f in factors]
+    ints = [f.exponent._ints for f in factors]
     try:
         # num / den is float() of a Fraction, rounded correctly, so
         # abs(float(q)) == float(abs(q)): one conversion per component serves

@@ -17,6 +17,13 @@ _RAT_CHOICES = [
 ] + [Fraction(0)]
 _PI_CHOICES = [Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
 
+# ExactExponent(Fraction(1, 2), -3) pickled at protocol 2 before exponents
+# kept their texts: its state is the two components.
+TWO_FIELD_PICKLE = (
+    b"\x80\x02cgeomprod.exact\nExactExponent\nq\x00)\x81q\x01]q\x02(cfractions\nFraction\n"
+    b"q\x03K\x01K\x02\x86q\x04Rq\x05h\x03J\xfd\xff\xff\xffK\x01\x86q\x06Rq\x07eb."
+)
+
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in-process, capturing stdout/stderr independently of pytest."""

@@ -252,6 +252,24 @@ class TestSolve:
         code, _, _ = run_cli(["solve", "--indices", "5", "--target", "4", "--total", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("indices", ["5,2,1", "\uff15,2", "5, 2", "+5,2", "5,2_0", "5,"])
+    def test_indices_read_the_integer_syntax(self, indices):
+        code, out, err = run_cli(["--format", "json", "solve", "--indices", indices, "--target", "4", "--total", "1"])
+        message = f"--indices expects two integers like 5,2, got {indices!r}"
+        assert (code, json.loads(out), err) == (2, {"error": {"message": message}}, f"geomprod: {message}\n")
+
+    def test_overlong_integer_options_name_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for argv, message in [
+            (["family", "--t", "2", "--sum", "9" * 5000, "--max-index", "6"],
+             f"argument --sum: cannot interpret 5000 digits as an integer (expected at most {limit} digits)"),
+            (["solve", "--indices", "5,-" + "9" * 5000, "--target", "4", "--total", "1"],
+             f"cannot interpret 5000 digits as an integer (expected at most {limit} digits)"),
+        ]:
+            code, out, _ = run_cli(["--format", "json"] + argv)
+            assert (code, json.loads(out)) == (2, {"error": {"message": message}})
+            assert len(message) < 200
+
     def test_total_in_exponent_notation_is_refused_at_once(self):
         # Fraction alone would build a billion-digit integer from this
         proc = subprocess.run(
@@ -379,6 +397,25 @@ class TestContract:
                 "argument --total: cannot interpret 5000 digits as a rational number "
                 f"(expected an integer of at most {sys.get_int_max_str_digits()} digits)",
                 id="overlong-total",
+            ),
+            # integer options read an optional "-" and ASCII digits, nothing else
+            (["family", "--t", "1_0", "--sum", "55", "--max-index", "10"], "argument --t: invalid int value: '1_0'"),
+            (
+                ["decompose", "--t", "2", "--sum", "8", "--parts", "1", "--max-index", "\uff18"],
+                "argument --max-index: invalid int value: '\uff18'",
+            ),
+            (["family", "--t", " 3", "--sum", "7", "--max-index", "6"], "argument --t: invalid int value: ' 3'"),
+            (["family", "--t", "+3", "--sum", "7", "--max-index", "6"], "argument --t: invalid int value: '+3'"),
+            (["check", "a4*a3 = a6*a1", "--trials", "1_000"], "argument --trials: invalid int value: '1_000'"),
+            (["decompose", "--t", "2", "--sum", "8", "--parts", "1 ", "--max-index", "8"], "argument --parts: invalid int value: '1 '"),
+            (["check", "a4*a3 = a6*a1", "--seed", "+1"], "argument --seed: invalid int value: '+1'"),
+            (["solve", "--indices", "5,2", "--target", "4_0", "--total", "1"], "argument --target: invalid int value: '4_0'"),
+            (["eval", "a3", "--a1", "1", "--r", "2", "--max-index", "\uff11"], "argument --max-index: invalid int value: '\uff11'"),
+            pytest.param(
+                ["family", "--t", "2", "--sum", "9" * 5000, "--max-index", "6"],
+                "argument --sum: cannot interpret 5000 digits as an integer "
+                f"(expected at most {sys.get_int_max_str_digits()} digits)",
+                id="overlong-sum",
             ),
         ],
     )
@@ -715,6 +752,19 @@ _GOLDEN = [
         2,
         "",
         "geomprod: equal source indices 3 cannot reach a different target 5\n",
+    ),
+    # a negative integer option reaches the domain check
+    (
+        ["family", "--t", "2", "--sum", "-3", "--max-index", "6"],
+        2,
+        "",
+        "geomprod: subscript sum must be >= 1, got -3\n",
+    ),
+    (
+        ["solve", "--indices=-5,2", "--target", "4", "--total", "1"],
+        2,
+        "",
+        "geomprod: index i must be >= 1, got -5\n",
     ),
     (
         ["--format", "json", "solve", "--indices", "3,3", "--target", "5", "--total", "2"],

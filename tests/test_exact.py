@@ -1,5 +1,7 @@
 """Exact rational and pi-extended exponent arithmetic."""
 
+import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -9,10 +11,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomprod import ExactExponent, as_rational, normalize, signature
+from geomprod import ExactExponent, as_rational, normalize, parse_product, signature
+
+from .support import TWO_FIELD_PICKLE
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 exponents = st.builds(ExactExponent, rationals, rationals)
+
+_E = ExactExponent(Fraction(1, 2), -3)
+# every way an exponent comes to be, each building a fresh one
+_BUILDS = {
+    "int": lambda: ExactExponent(3),
+    "str": lambda: ExactExponent("-3/6", "2"),
+    "fraction": lambda: ExactExponent(Fraction(1, 2), Fraction(-3)),
+    "add": lambda: _E + ExactExponent(1, Fraction(1, 3)),
+    "sub": lambda: _E - ExactExponent(Fraction(1, 2)),
+    "neg": lambda: -_E,
+    "scale": lambda: _E.scale("2/3"),
+    "signature-total": lambda: signature(normalize([(3, _E), (5, 1)])).total,
+    "signature-weighted-sum": lambda: signature(normalize([(3, _E), (5, 1)])).weighted_sum,
+    "scanner": lambda: parse_product("a3^(5/7-2*pi)").factors[0].exponent,
+    "replace": lambda: dataclasses.replace(_E, rat=Fraction(5, 4)),
+    "pickle": lambda: pickle.loads(pickle.dumps(_E)),
+    "two-field-pickle": lambda: pickle.loads(TWO_FIELD_PICKLE),
+    "copy": lambda: copy.copy(_E),
+    "deepcopy": lambda: copy.deepcopy(_E),
+}
 
 
 class TestRational:
@@ -191,6 +215,12 @@ class TestExactExponentContract:
         back = pickle.loads(pickle.dumps(e))
         assert back == e
         assert hash(back) == hash(e)
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
+    def test_every_construction_path_keeps_its_integers(self, build):
+        e = build()
+        rat, pi = e.rat, e.pi
+        assert e._ints == (rat.numerator, rat.denominator, pi.numerator, pi.denominator)
 
     @given(rationals, rationals)
     def test_equal_values_hash_equal(self, q, p):

@@ -27,7 +27,7 @@ from geomprod import (
 )
 from geomprod import parsing
 
-from .support import grammar_identity, grammar_product, random_product
+from .support import TWO_FIELD_PICKLE, grammar_identity, grammar_product, random_product
 
 
 class TestParse:
@@ -536,12 +536,6 @@ def _rendered(p: StringProduct, style: str) -> str:
     return (" \\cdot " if latex else "*").join(out) or "1"
 
 
-# ExactExponent(Fraction(1, 2), -3) pickled at protocol 2 before exponents
-# kept their texts: its state is the two components.
-_TWO_FIELD_PICKLE = (
-    b"\x80\x02cgeomprod.exact\nExactExponent\nq\x00)\x81q\x01]q\x02(cfractions\nFraction\n"
-    b"q\x03K\x01K\x02\x86q\x04Rq\x05h\x03J\xfd\xff\xff\xffK\x01\x86q\x06Rq\x07eb."
-)
 _RATS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 _PIS = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-2, -1, 1, 3) for d in (1, 2)]
 
@@ -651,14 +645,13 @@ class TestExponentTable:
         assert e == fresh and hash(e) == hash(fresh) == hash((Fraction(1, 2), Fraction(-3)))
         assert ExactExponent.__match_args__ == ("rat", "pi")
         assert e.__reduce_ex__(2)[2] == [Fraction(1, 2), Fraction(-3)]
-        old = pickle.loads(_TWO_FIELD_PICKLE)
+        old = pickle.loads(TWO_FIELD_PICKLE)
         assert old == e
         assert render(normalize([(3, old)])) == "a3^(1/2-3*pi)"
         assert render(normalize([(3, old)]), "latex") == "a_{3}^{1/2-3\\pi}"
-        for back in (pickle.loads(_TWO_FIELD_PICKLE), pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
-            assert back._ints is None  # a copy writes its own on first use
-            assert signature(normalize([(3, back)])) == sig
+        for back in (pickle.loads(TWO_FIELD_PICKLE), pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert back._ints == e._ints
+            assert signature(normalize([(3, back)])) == sig
 
 
 # Each text has at least 2*10^5 characters; a scanner that backtracks
