@@ -1,11 +1,14 @@
 """Command-line front end.
 
 :func:`main` reads ``--format`` and ``--quiet`` first, wherever argv gives
-them, and everything after uses those two values.  Each subcommand handler
-returns ``(exit code, text lines, JSON payload, LaTeX lines)`` and prints
-nothing, and so does ``--help``; :func:`main` applies ``--quiet`` and prints
-the one output ``--format`` picks.  Usage, parse and domain errors all leave
-through :func:`_error`.
+them, and everything after uses those two values; a handler finds them as
+``args.format`` and ``args.quiet``.  Each subcommand handler returns
+``(exit code, text lines, JSON payload, LaTeX lines)`` and prints nothing,
+and so does ``--help``; :func:`main` applies ``--quiet`` and prints the one
+output ``--format`` picks.  A handler may leave the outputs that will not be
+printed empty: ``decompose`` builds only the one asked for, and nothing
+under ``--quiet``.  Usage, parse and domain errors all leave through
+:func:`_error`.
 
 Exit codes: 0 for success (including a verified identity and feasible-but-
 empty listings), 1 for a refuted identity, 2 for usage, parse or domain
@@ -77,6 +80,18 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+# The float option syntax: float() alone also reads underscores, "inf",
+# "nan", a leading "+", surrounding spaces and non-ASCII digits.
+_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _float_arg(text: str) -> float:
+    """An optional "-", ASCII digits, an optional "." fraction and "e" exponent."""
+    if _FLOAT_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
+
+
 class _UsageError(Exception):
     """An argparse error; ``args`` is (the parser that failed, the message)."""
 
@@ -142,8 +157,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     p = command("eval", "evaluate a product on a concrete sequence", _cmd_eval)
     p.add_argument("product")
-    p.add_argument("--a1", type=float, required=True, help="first term (positive)")
-    p.add_argument("--r", type=float, required=True, help="common ratio (positive)")
+    p.add_argument("--a1", type=_float_arg, required=True, help="first term (positive)")
+    p.add_argument("--r", type=_float_arg, required=True, help="common ratio (positive)")
     p.add_argument("--max-index", type=_int_arg, default=None, help="sequence length (default: inferred)")
 
     return flags, parser
@@ -209,11 +224,21 @@ def _cmd_family(args) -> _Result:
 
 
 def _cmd_decompose(args) -> _Result:
+    # Only the output that will be printed is built, straight from the int
+    # pairs, spelled as render spells a product of integer powers.
     results = decompose(args.t, args.sum, args.parts, args.max_index)
-    products = [d.to_product() for d in results]
-    lines = [render(p) for p in products]
-    latex = [render(p, "latex") for p in products]
-    return 0, lines, [d.to_json_dict() for d in results], latex
+    if args.quiet:
+        return 0, [], None, []
+    if args.format == "json":
+        return 0, [], [d.to_json_dict() for d in results], []
+    if args.format == "latex":
+        lines = [
+            " \\cdot ".join([f"a_{{{b}}}" if w == 1 else f"a_{{{b}}}^{{{w}}}" for b, w in d.parts])
+            for d in results
+        ]
+    else:
+        lines = ["*".join([f"a{b}" if w == 1 else f"a{b}^({w})" for b, w in d.parts]) for d in results]
+    return 0, lines, None, lines
 
 
 def _cmd_collapse(args) -> _Result:
@@ -262,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         known, rest = flags.parse_known_args(argv)
         fmt, quiet = known.format, known.quiet
         args = parser.parse_args(rest)
+        args.format, args.quiet = fmt, quiet
         code, lines, payload, latex = args.run(args)
     except _HelpRequested as exc:
         text = exc.args[0].format_help()

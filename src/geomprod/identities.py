@@ -43,21 +43,25 @@ byte-reproducible.
 
 :func:`decompose` runs its walk with the cyclic garbage collector paused and
 restores the collector's previous state on the way out, even when the walk
-raises.  Each of its rows is a slotted :class:`Decomposition` holding a
-tuple of int pairs: it cannot be part of a reference cycle, yet the
-collector keeps it tracked, so every collection during the walk would rescan
-the rows listed so far for nothing.  :func:`enumerate_family` is not paused:
-its rows are plain int tuples, which the collector untracks the first time
-it sees them, so a pause would only move that work past the end of the call.
+raises.  The walk lists each row's tuple of int pairs, and one C-level pass
+over that list then makes the rows: a slotted :class:`Decomposition` per
+tuple, each given its parts by the slot's setter, with no Python call per
+row.  A row cannot be part of a reference cycle, yet the collector keeps it
+tracked, so every collection during the call would rescan the rows listed
+so far for nothing.  :func:`enumerate_family` is not paused: its rows are
+plain int tuples, which the collector untracks the first time it sees them,
+so a pause would only move that work past the end of the call.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .exact import as_rational
 from .model import InvalidIndexError, Signature, StringProduct, _as_int, normalize, signature
@@ -150,13 +154,6 @@ class Decomposition:
 
 _new = object.__new__
 _set_parts = Decomposition.__dict__["parts"].__set__
-
-
-def _decomposition(parts: tuple[tuple[int, int], ...]) -> Decomposition:
-    """The package's constructor for the rows of :func:`decompose`."""
-    d = _new(Decomposition)
-    _set_parts(d, parts)
-    return d
 
 
 @contextmanager
@@ -320,9 +317,13 @@ def decompose(
     the (index, weight) part lists; infeasible queries return the empty
     list.  Each argument must be an integer (:class:`TypeError` otherwise).
 
-    The walk runs with the cyclic garbage collector paused, because its rows
-    cannot form cycles but would be rescanned by every collection; the
-    collector's previous state is restored when the walk ends or raises.
+    The walk lists each row's parts tuple; one pass at C level then makes
+    the records, ``object.__new__`` for each and the ``parts`` slot's setter
+    to fill it, so a row costs no Python call.  The records are equal, hash,
+    print and pickle as ``Decomposition(parts)`` would.  Walk and pass run
+    with the cyclic garbage collector paused, because the rows cannot form
+    cycles but would be rescanned by every collection; the collector's
+    previous state is restored when they end or raise.
     """
     t = _as_int("t", t)
     subscript_sum = _as_int("subscript_sum", subscript_sum)
@@ -337,9 +338,6 @@ def decompose(
     if max_index < 1:
         raise ValueError(f"max index must be >= 1, got {max_index}")
 
-    if parts == 1:
-        b, r = divmod(subscript_sum, t)
-        return [_decomposition(((b, t),))] if r == 0 and b <= max_index else []
     l = max_index
 
     def choices(
@@ -373,16 +371,23 @@ def decompose(
     # once, so a deep walk holds one O(parts) prefix; an empty pair adds
     # nothing to it.
     with _collector_paused():
-        return [
-            _decomposition(head + ((b, W - d), (b + rem // d, d)))
-            for prefix, heads in _walk(parts - 2, (1, parts - 1, t, subscript_sum), choices)
-            for pair, (min_index, _, W, S) in heads
-            for head, first in ((prefix + (pair,) if pair else prefix, l + S - W * l),)
-            for b in range(first if first > min_index else min_index, (S - 1) // W + 1)
-            for rem in (S - W * b,)
-            for d in range(W - 1 if rem >= W else rem, (rem - 1) // (l - b), -1)
-            if rem % d == 0
-        ]
+        if parts == 1:
+            b, r = divmod(subscript_sum, t)
+            rows = [((b, t),)] if r == 0 and b <= l else []
+        else:
+            rows = [
+                head + ((b, W - d), (b + rem // d, d))
+                for prefix, heads in _walk(parts - 2, (1, parts - 1, t, subscript_sum), choices)
+                for pair, (min_index, _, W, S) in heads
+                for head, first in ((prefix + (pair,) if pair else prefix, l + S - W * l),)
+                for b in range(first if first > min_index else min_index, (S - 1) // W + 1)
+                for rem in (S - W * b,)
+                for d in range(W - 1 if rem >= W else rem, (rem - 1) // (l - b), -1)
+                if rem % d == 0
+            ]
+        records = list(map(_new, repeat(Decomposition, len(rows))))
+        deque(map(_set_parts, records, rows), maxlen=0)
+    return records
 
 
 def collapse(p: StringProduct) -> tuple[int, Fraction] | None:

@@ -21,6 +21,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
@@ -296,6 +297,39 @@ def power(p: StringProduct, c: RationalLike) -> StringProduct:
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _FLOAT_MAX = sys.float_info.max
+# 360 significant digits of pi: every exponent component that reaches the
+# fallback of evaluate is below 2**1024 (to_real has read it as a float), so
+# 360 digits keep pi's share of the error in the fallback's argument below
+# 1e-40.
+_PI = Decimal(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164"
+    "062862089986280348253421170679821480865132823066470938446095505822317253"
+    "594081284811174502841027019385211055596446229489549303819644288109756659"
+    "334461284756482337867831652712019091456485669234603486104543266482133936"
+    "072602491412737245870066063155881748815209209628292540917153643678925903"
+    "6"
+)
+
+
+def _exp_of_logs(total: ExactExponent, ratio: ExactExponent, a1: float, r: float) -> float:
+    """``exp(T*ln a1 + (S-T)*ln r)`` rounded once to a float, or inf, 0 or nan.
+
+    Decimal arithmetic, from the exact components and the floats' exact
+    values, at 43 digits beyond the integer digits of the largest component
+    (a float's ``ln`` is below 1000 in size, so that leaves 40 after the
+    point): the argument is then within about 1e-37 of its exact value,
+    ``ln`` and ``exp`` are correctly rounded at that precision, and ``float``
+    rounds the result once more, correctly.  No signal is trapped, so an
+    infinite or undefined argument gives inf or nan rather than raising.
+    """
+    top = max(abs(c) for e in (total, ratio) for c in (e.rat, e.pi))
+    with localcontext(Context(prec=43 + len(str(int(top))), traps=[])):
+        x = sum(
+            (Decimal(e.rat.numerator) / e.rat.denominator + _PI * e.pi.numerator / e.pi.denominator)
+            * Decimal(v).ln()
+            for e, v in ((total, a1), (ratio, r))
+        )
+        return float(x.exp())
 
 
 def evaluate(p: StringProduct, seq: SequenceSpec) -> float:
@@ -307,6 +341,17 @@ def evaluate(p: StringProduct, seq: SequenceSpec) -> float:
     has lost precision) or their product is not finite and positive, the
     value is taken as ``exp(T*ln a1 + (S-T)*ln r)`` instead; a result that
     is still not finite and positive raises :class:`OverflowError`.
+
+    Error of the fast path: two float powers, each within 1 ulp as the
+    platform's ``pow`` gives them, and one rounded product, so about 2.5 ulp
+    when ``T`` and ``S-T`` are integers below 2**53.  Other exponents are
+    first rounded to floats, which adds up to
+    ``(|T*ln a1| + |(S-T)*ln r|) * 2**-53`` relative error, hundreds of ulp
+    when those logarithms are large.  Error of the fallback: it is
+    evaluated in decimal from the exact ``T`` and ``S-T`` and the exact
+    values of ``a1`` and ``r`` (see :func:`_exp_of_logs`), so it is within
+    0.5 ulp plus about 1e-21 ulp: correctly rounded unless the exact value
+    lies within that much of a halfway point between two floats.
     """
     for f in p.factors:
         if f.index > seq.l:
@@ -316,8 +361,9 @@ def evaluate(p: StringProduct, seq: SequenceSpec) -> float:
     if not (seq.a1 > 0 and seq.r > 0):
         raise ValueError("evaluation requires a1 > 0 and r > 0")
     sig = signature(p)
+    ratio = sig.weighted_sum - sig.total
     total = sig.total.to_real()
-    ratio_power = (sig.weighted_sum - sig.total).to_real()
+    ratio_power = ratio.to_real()
     try:
         base_power = seq.a1 ** total
         ratio_factor = seq.r ** ratio_power
@@ -330,10 +376,9 @@ def evaluate(p: StringProduct, seq: SequenceSpec) -> float:
         value = base_power * ratio_factor
         if 0.0 < value < math.inf:
             return value
-    try:
-        value = math.exp(total * math.log(seq.a1) + ratio_power * math.log(seq.r))
-    except OverflowError:
-        raise OverflowError("product overflowed during evaluation") from None
-    if not 0.0 < value < math.inf:
+    value = _exp_of_logs(sig.total, ratio, seq.a1, seq.r)
+    if value == math.inf:
+        raise OverflowError("product overflowed during evaluation")
+    if not value > 0.0:
         raise OverflowError("product evaluation left the finite positive range")
     return value

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from geomprod import cli
+from geomprod import cli, decompose, render
 
 from .support import run_cli
 
@@ -207,6 +208,39 @@ class TestDecompose:
             {"parts": [{"index": b, "weight": 1} for b in range(1, 1201)]}
         ]
 
+    # The handler writes each format straight from the int pairs; it must
+    # match the reference path, every row rendered as a product, over every
+    # query of the t <= 7, l <= 10 grid.
+    def test_formats_match_rendered_products(self):
+        for t in range(1, 8):
+            for l in range(1, 11):
+                for s in range(1, t * l + 1):
+                    for parts in range(1, t + 1):
+                        rows = decompose(t, s, parts, l)
+                        products = [d.to_product() for d in rows]
+                        expected = {
+                            "text": [render(p) for p in products],
+                            "latex": [render(p, "latex") for p in products],
+                            "json": [d.to_json_dict() for d in rows],
+                        }
+                        for fmt, want in expected.items():
+                            args = Namespace(t=t, sum=s, parts=parts, max_index=l, format=fmt, quiet=False)
+                            _, lines, payload, latex = cli._cmd_decompose(args)
+                            got = {"text": lines, "latex": latex, "json": payload}[fmt]
+                            assert got == want, (t, s, parts, l, fmt)
+
+    def test_builds_only_the_format_asked_for(self):
+        query = dict(t=3, sum=12, parts=2, max_index=8)
+        for fmt, quiet, built in [
+            ("text", False, (True, False, True)),
+            ("latex", False, (True, False, True)),
+            ("json", False, (False, True, False)),
+            ("json", True, (False, False, False)),
+            ("text", True, (False, False, False)),
+        ]:
+            code, lines, payload, latex = cli._cmd_decompose(Namespace(**query, format=fmt, quiet=quiet))
+            assert code == 0 and (bool(lines), payload is not None, bool(latex)) == built, (fmt, quiet)
+
 
 class TestCollapse:
     def test_collapses(self):
@@ -321,6 +355,17 @@ class TestEval:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize(
+        "a1, r, value",
+        [("1.5", "2", "6.0"), ("15e-1", "2E0", "6.0"), ("0.15e+1", "2.0", "6.0"), ("-1.5", "2", None)],
+    )
+    def test_float_options_read_the_float_syntax(self, a1, r, value):
+        code, out, err = run_cli(["eval", "a3", "--a1", a1, "--r", r])
+        if value is None:  # read, then refused by evaluate
+            assert (code, out, err) == (2, "", "geomprod: evaluation requires a1 > 0 and r > 0\n")
+        else:
+            assert (code, out, err) == (0, f"{value}\n", "")
+
 
 class TestContract:
     def test_usage_error_exits_2(self):
@@ -417,6 +462,16 @@ class TestContract:
                 f"(expected at most {sys.get_int_max_str_digits()} digits)",
                 id="overlong-sum",
             ),
+            # float options read an optional "-", ASCII digits, an optional
+            # "." fraction and "e" exponent, nothing else
+            (["eval", "a3", "--a1", "1_5", "--r", "2"], "argument --a1: invalid float value: '1_5'"),
+            (["eval", "a3", "--a1", "\uff11.\uff15", "--r", "2"], "argument --a1: invalid float value: '\uff11.\uff15'"),
+            (["eval", "a3", "--a1", "+1.5", "--r", "2"], "argument --a1: invalid float value: '+1.5'"),
+            (["eval", "a3", "--a1", "1.5 ", "--r", "2"], "argument --a1: invalid float value: '1.5 '"),
+            (["eval", "a3", "--a1", "1", "--r", "inf"], "argument --r: invalid float value: 'inf'"),
+            (["eval", "a3", "--a1", "1", "--r", "nan"], "argument --r: invalid float value: 'nan'"),
+            (["eval", "a3", "--a1", "1", "--r", ".5"], "argument --r: invalid float value: '.5'"),
+            (["eval", "a3", "--a1", "1", "--r", "2e"], "argument --r: invalid float value: '2e'"),
         ],
     )
     def test_usage_errors(self, argv, message):

@@ -479,20 +479,21 @@ class TestCollectorPause:
         assert len(decompose(10, 60, 4, 12)) == 796
         assert gc.isenabled() is collector
 
-    # one query per walk depth, with its row count: no walk level (one empty
-    # head), one level yielded as a batch of heads, and that batch under a
-    # stack level
-    PATHS = {(3, 12, 2, 8): 3, (6, 30, 3, 9): 30, (10, 60, 4, 12): 796}
+    # one query per walk depth, with its row count: one part (no walk), no
+    # walk level (one empty head), one level yielded as a batch of heads, and
+    # that batch under a stack level
+    PATHS = {(2, 8, 1, 8): 1, (3, 12, 2, 8): 3, (6, 30, 3, 9): 30, (10, 60, 4, 12): 796}
 
+    # the record pass calls the slot setter once per record
     def test_paused_during_walk(self, collector, monkeypatch):
         seen = []
-        row = identities._decomposition
+        setter = identities._set_parts
 
-        def recording(parts):
+        def recording(record, parts):
             seen.append(gc.isenabled())
-            return row(parts)
+            setter(record, parts)
 
-        monkeypatch.setattr(identities, "_decomposition", recording)
+        monkeypatch.setattr(identities, "_set_parts", recording)
         for query, count in self.PATHS.items():
             seen.clear()
             decompose(*query)
@@ -500,10 +501,10 @@ class TestCollectorPause:
             assert gc.isenabled() is collector, query
 
     def test_state_restored_when_walk_raises(self, collector, monkeypatch):
-        def failing(parts):
+        def failing(record, parts):
             raise RuntimeError("row")
 
-        monkeypatch.setattr(identities, "_decomposition", failing)
+        monkeypatch.setattr(identities, "_set_parts", failing)
         for query in self.PATHS:
             with pytest.raises(RuntimeError, match="row"):
                 decompose(*query)

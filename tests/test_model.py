@@ -2,9 +2,11 @@
 
 import copy
 import fractions
+import math
 import pickle
 import random
 import sys
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from geomprod import (
     render,
     signature,
 )
+from geomprod import model
 
 from .support import (
     equivalent_variant,
@@ -311,12 +314,62 @@ class TestEvaluate:
         with pytest.raises(OverflowError):
             evaluate(p, SequenceSpec(2.0, 3.0, 2_000_000))
 
+    def test_fallback_is_correctly_rounded(self):
+        # a1^2 underflows; the nearest float to the exact value, which the
+        # float-logarithm fallback missed by 324 ulp
+        p = normalize([(500, 1), (499, 1)])
+        assert evaluate(p, SequenceSpec(1e-200, 2.0, 500)) == 1.339385758982834e-100
+
+    def test_fallback_within_half_an_ulp(self):
+        # One power underflows (a1 tiny) or overflows (a1 huge); r is picked
+        # so that the value lands anywhere from the subnormals to near the top
+        # of the float range.  Exponents are integers, rationals and pi terms.
+        rng = random.Random(1403)
+        weights = [1, 2, Fraction(3, 2), Fraction(7, 3), ExactExponent(0, 1), ExactExponent(1, Fraction(1, 2))]
+        with localcontext(Context(prec=80)):
+            pi = _decimal_pi()
+            for _ in range(300):
+                pairs = [(rng.randint(200, 600), rng.choice(weights)) for _ in range(rng.randint(2, 3))]
+                p = normalize(pairs)
+                sig = signature(p)
+                total, ratio = sig.total, sig.weighted_sum - sig.total
+                a1 = 10.0 ** (rng.choice([-1, 1]) * rng.uniform(160, 250))
+                target = rng.uniform(-740, 705)
+                r = math.exp((target - total.to_real() * math.log(a1)) / ratio.to_real())
+                assert abs(total.to_real() * math.log(a1)) > 709.8  # a1^T is not a normal float
+                value = evaluate(p, SequenceSpec(a1, r, 600))
+                exact = sum(
+                    (Decimal(e.rat.numerator) / e.rat.denominator + pi * e.pi.numerator / e.pi.denominator)
+                    * Decimal(v).ln()
+                    for e, v in ((total, a1), (ratio, r))
+                ).exp()
+                assert abs(Decimal(value) - exact) <= Decimal(math.ulp(value)) / 2, (pairs, a1, r)
+
+    def test_fallback_pi_digits(self):
+        with localcontext(Context(prec=400)):
+            assert abs(model._PI - _decimal_pi()) < Decimal(10) ** -359
+
     def test_sequence_parameters_validated(self):
         with pytest.raises(ValueError):
             SequenceSpec(1.0, 2.0, 0)
         assert SequenceSpec(1.0, 2.0, 3).admissible()
         assert not SequenceSpec(1.0, 1.0, 3).admissible()
         assert not SequenceSpec(-1.0, 2.0, 3).admissible()
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the current decimal precision (the recipe in the decimal docs)."""
+    getcontext().prec += 2
+    three = Decimal(3)
+    last, t, total, n, na, d, da = 0, three, three, 1, 0, 0, 24
+    while total != last:
+        last = total
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        total += t
+    getcontext().prec -= 2
+    return +total
 
 
 class TestNumericConsistency:
