@@ -6,9 +6,9 @@ them, and everything after uses those two values; a handler finds them as
 ``(exit code, text lines, JSON payload, LaTeX lines)`` and prints nothing,
 and so does ``--help``; :func:`main` applies ``--quiet`` and prints the one
 output ``--format`` picks.  A handler may leave the outputs that will not be
-printed empty: ``decompose`` builds only the one asked for, and nothing
-under ``--quiet``.  Usage, parse and domain errors all leave through
-:func:`_error`.
+printed empty: ``decompose`` and ``family`` build only the one asked for,
+and nothing under ``--quiet``.  Usage, parse and domain errors all leave
+through :func:`_error`.
 
 Exit codes: 0 for success (including a verified identity and feasible-but-
 empty listings), 1 for a refuted identity, 2 for usage, parse or domain
@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from itertools import starmap
 
 from .exact import as_rational
 from .identities import (
@@ -81,15 +83,24 @@ def _int_arg(text: str) -> int:
 
 
 # The float option syntax: float() alone also reads underscores, "inf",
-# "nan", a leading "+", surrounding spaces and non-ASCII digits.
-_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+# "nan", a leading "+", surrounding spaces and non-ASCII digits.  The group
+# is the digits before the exponent.
+_FLOAT_RE = re.compile(r"-?([0-9]+(?:\.[0-9]+)?)(?:[eE][-+]?[0-9]+)?")
 
 
 def _float_arg(text: str) -> float:
-    """An optional "-", ASCII digits, an optional "." fraction and "e" exponent."""
-    if _FLOAT_RE.fullmatch(text) is None:
+    """An optional "-", ASCII digits, an optional "." fraction and "e" exponent.
+
+    A literal that rounds to an infinity, or to zero although it has a
+    nonzero digit, is beyond the float range and refused.
+    """
+    match = _FLOAT_RE.fullmatch(text)
+    if match is None:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    return float(text)
+    value = float(text)
+    if math.isinf(value) or (not value and match[1].strip("0.")):
+        raise argparse.ArgumentTypeError(f"{text} is beyond the float range")
+    return value
 
 
 class _UsageError(Exception):
@@ -217,10 +228,19 @@ def _cmd_canon(args) -> _Result:
 
 
 def _cmd_family(args) -> _Result:
-    query = FamilyQuery(args.t, args.sum, args.max_index, args.repetition)
-    families = enumerate_family(query)
-    lines = ["+".join(str(i) for i in member) for member in families]
-    return 0, lines, [list(member) for member in families], lines
+    # Only the output that will be printed is built.  json.dumps writes the
+    # rows, tuples, as lists.  Every row has as many indices as the first,
+    # so one format string spells each text line; an empty listing builds
+    # none, however large t is.
+    families = enumerate_family(FamilyQuery(args.t, args.sum, args.max_index, args.repetition))
+    if args.quiet:
+        return 0, [], None, []
+    if args.format == "json":
+        return 0, [], families, []
+    if not families:
+        return 0, [], None, []
+    lines = list(starmap("+".join(["{}"] * len(families[0])).format, families))
+    return 0, lines, None, lines
 
 
 def _cmd_decompose(args) -> _Result:

@@ -53,6 +53,18 @@ each time, where a lowered limit still makes it a :class:`ParseError`.
 Each exponent keeps the text :func:`render` writes for it, in either
 style, so a shared exponent is written once, not once per render.  Each
 style's writer reads the kept text and makes one f-string per factor.
+
+The sums the scanner makes when an index repeats are kept too, in a second
+module-level table keyed by the integers of the two operands, the sum so
+far and the exponent added (see :class:`~geomprod.exact.ExactExponent`).
+Products that merge equal values share one sum, so its Fraction
+arithmetic runs once and its text is written once.  The table takes at
+most as many entries as the spelling table and then stops adding, with no
+eviction.  It takes no sum with an operand whose integers have more than
+32 digits, more than a 32-character spelling can write, so a key stays
+small and every kept sum's text converts under any digit limit.  Such an
+operand is merged afresh each time; the bound compares integers and
+converts none to a string.
 """
 
 from __future__ import annotations
@@ -247,6 +259,12 @@ _EXPONENTS: dict[str, ExactExponent] = {}
 _EXPONENTS_MAX = 1024  # entries
 _SPELLING_MAX = 32  # characters
 
+# The scanner's sums by the integers of their two operands, under the same
+# entry cap, and the bound on those integers: none has more digits than a
+# spelling of _SPELLING_MAX characters can write.
+_SUMS: dict[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ExactExponent] = {}
+_OPERAND_MAX = 10**_SPELLING_MAX
+
 
 def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
     """The terms of every product in the text, split at "=", merged as read.
@@ -258,7 +276,7 @@ def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
     """
     out = []
     terms: dict[int, ExactExponent] = {}
-    exponents = _EXPONENTS
+    exponents, sums = _EXPONENTS, _SUMS
     try:
         for index, spelling, sep, stray in _TERM_RE.findall(text):
             if stray:
@@ -277,7 +295,17 @@ def _scan(text: str) -> list[dict[int, ExactExponent]] | None:
                     if len(spelling) <= _SPELLING_MAX and len(exponents) < _EXPONENTS_MAX:
                         exponents[spelling] = exp
             prev = terms.get(index)
-            terms[index] = exp if prev is None else prev + exp
+            if prev is None:
+                terms[index] = exp
+            else:
+                key = (prev._ints, exp._ints)
+                total = sums.get(key)
+                if total is None:
+                    total = prev + exp
+                    ints = prev._ints + exp._ints
+                    if len(sums) < _EXPONENTS_MAX and -_OPERAND_MAX < min(ints) and max(ints) < _OPERAND_MAX:
+                        sums[key] = total
+                terms[index] = total
             if sep != "*":
                 out.append(terms)
                 if not sep:

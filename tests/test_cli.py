@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from geomprod import cli, decompose, render
+from geomprod import FamilyQuery, cli, decompose, enumerate_family, render
 
 from .support import run_cli
 
@@ -171,6 +171,49 @@ class TestFamily:
         )
         assert code == 0
         assert json.loads(out) == [[1] * 1200]
+
+
+    def test_builds_only_the_format_asked_for(self):
+        query = dict(t=3, sum=12, max_index=8, repetition=True)
+        for fmt, quiet, built in [
+            ("text", False, (True, False, True)),
+            ("latex", False, (True, False, True)),
+            ("json", False, (False, True, False)),
+            ("json", True, (False, False, False)),
+            ("text", True, (False, False, False)),
+        ]:
+            code, lines, payload, latex = cli._cmd_family(Namespace(**query, format=fmt, quiet=quiet))
+            assert code == 0 and (bool(lines), payload is not None, bool(latex)) == built, (fmt, quiet)
+
+    def test_empty_listing_builds_nothing_for_a_large_t(self):
+        # an infeasible query returns at once; its output must not grow with t
+        args = Namespace(t=10**7, sum=1, max_index=6, repetition=False, quiet=False)
+        tracemalloc.start()
+        try:
+            for fmt, payload in (("text", None), ("latex", None), ("json", [])):
+                assert cli._cmd_family(Namespace(**vars(args), format=fmt)) == (0, [], payload, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    # The handler spells each row through one format string per query; it
+    # must match "+".join of the indices and json.dumps of the rows as
+    # lists, over every query of the t <= 7, l <= 10 grid.
+    def test_formats_match_the_rows(self):
+        for t in range(1, 8):
+            for l in range(1, 11):
+                for s in range(1, t * l + 1):
+                    for rep in (False, True):
+                        rows = enumerate_family(FamilyQuery(t, s, l, rep))
+                        text = ["+".join(str(i) for i in row) for row in rows]
+                        for fmt in ("text", "latex", "json"):
+                            args = Namespace(t=t, sum=s, max_index=l, repetition=rep, format=fmt, quiet=False)
+                            _, lines, payload, latex = cli._cmd_family(args)
+                            if fmt == "json":
+                                assert json.dumps(payload) == json.dumps([list(r) for r in rows])
+                            else:
+                                assert (lines, latex) == (text, text), (t, s, l, rep, fmt)
 
 
 class TestDecompose:
@@ -357,11 +400,14 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "a1, r, value",
-        [("1.5", "2", "6.0"), ("15e-1", "2E0", "6.0"), ("0.15e+1", "2.0", "6.0"), ("-1.5", "2", None)],
+        [
+            ("1.5", "2", "6.0"), ("15e-1", "2E0", "6.0"), ("0.15e+1", "2.0", "6.0"), ("-1.5", "2", None),
+            ("0", "2", None), ("0.00e-400", "2", None), ("1e-310", "1", "1e-310"),
+        ],
     )
     def test_float_options_read_the_float_syntax(self, a1, r, value):
         code, out, err = run_cli(["eval", "a3", "--a1", a1, "--r", r])
-        if value is None:  # read, then refused by evaluate
+        if value is None:  # read, then refused by evaluate; a zero literal is in range
             assert (code, out, err) == (2, "", "geomprod: evaluation requires a1 > 0 and r > 0\n")
         else:
             assert (code, out, err) == (0, f"{value}\n", "")
@@ -472,6 +518,13 @@ class TestContract:
             (["eval", "a3", "--a1", "1", "--r", "nan"], "argument --r: invalid float value: 'nan'"),
             (["eval", "a3", "--a1", "1", "--r", ".5"], "argument --r: invalid float value: '.5'"),
             (["eval", "a3", "--a1", "1", "--r", "2e"], "argument --r: invalid float value: '2e'"),
+            # and a literal beyond the float range is refused, not rounded
+            # to an infinity or to zero
+            (["eval", "a3", "--a1", "1e999", "--r", "2"], "argument --a1: 1e999 is beyond the float range"),
+            (["eval", "a3", "--a1=-1e999", "--r", "2"], "argument --a1: -1e999 is beyond the float range"),
+            (["eval", "a3", "--a1", "1", "--r", "2.5E308"], "argument --r: 2.5E308 is beyond the float range"),
+            (["eval", "a3", "--a1", "1e-400", "--r", "2"], "argument --a1: 1e-400 is beyond the float range"),
+            (["eval", "a3", "--a1", "1", "--r", "00.0010e-330"], "argument --r: 00.0010e-330 is beyond the float range"),
         ],
     )
     def test_usage_errors(self, argv, message):

@@ -364,6 +364,7 @@ class TestTermScanner:
 
     def test_equals_parser_alone(self, monkeypatch):
         monkeypatch.setattr(parsing, "_EXPONENTS", {})
+        monkeypatch.setattr(parsing, "_SUMS", {})
         rng = random.Random(1111)
         texts = [grammar_identity(rng) for _ in range(600)]
         texts += [grammar_product(rng) for _ in range(600)]
@@ -373,8 +374,8 @@ class TestTermScanner:
         # the rows of test_error_fields_pinned, read from its parametrize mark
         (mark,) = TestParseErrors.test_error_fields_pinned.pytestmark
         texts += [row[0] for row in mark.args[1]]
-        # the first pass starts from an empty exponent table, the second
-        # from the table the first one filled
+        # the first pass starts from empty exponent and sum tables, the
+        # second from the tables the first one filled
         for table in ("cold", "warm"):
             scanned = 0
             for text in texts:
@@ -390,6 +391,7 @@ class TestTermScanner:
         # indices 1-3 make most terms repeat one, so most sums are merged,
         # some cancel and some cancel and then reappear
         monkeypatch.setattr(parsing, "_EXPONENTS", {})
+        monkeypatch.setattr(parsing, "_SUMS", {})
         rng = random.Random(1115)
         cases = [
             ([[(3, "2"), (3, "-2"), (3, None)]], "a3^2*a3^-2*a3"),
@@ -403,23 +405,27 @@ class TestTermScanner:
                 for terms in sides
             )
             cases.append((sides, text))
-        merged = unmerged = 0
-        for sides, text in cases:
-            parse = parse_product if len(sides) == 1 else parse_identity
-            scanned = parsing._scan(text)
-            assert scanned is not None and len(scanned) == len(sides), text
-            got, expected = parse(text), _parser_only(parse, text)
-            assert got == expected and repr(got) == repr(expected), text
-            for terms, p in zip(sides, [got] if len(sides) == 1 else [got.lhs, got.rhs]):
-                indices = [index for index, _ in terms]
-                merged += len(set(indices)) < len(indices)
-                for f in p.factors:
-                    if indices.count(f.index) == 1:  # read once: the table's own exponent
-                        unmerged += 1
-                        spelling = terms[indices.index(f.index)][1]
-                        kept = parsing.ONE if spelling is None else parsing._EXPONENTS[spelling]
-                        assert f.exponent is kept, text
-        assert merged > len(cases) // 2 and unmerged > 500
+        # the first pass starts from empty tables, the second from the
+        # tables the first one filled
+        for table in ("cold", "warm"):
+            merged = unmerged = 0
+            for sides, text in cases:
+                parse = parse_product if len(sides) == 1 else parse_identity
+                scanned = parsing._scan(text)
+                assert scanned is not None and len(scanned) == len(sides), (table, text)
+                got, expected = parse(text), _parser_only(parse, text)
+                assert got == expected and repr(got) == repr(expected), (table, text)
+                for terms, p in zip(sides, [got] if len(sides) == 1 else [got.lhs, got.rhs]):
+                    indices = [index for index, _ in terms]
+                    merged += len(set(indices)) < len(indices)
+                    for f in p.factors:
+                        if indices.count(f.index) == 1:  # read once: the table's own exponent
+                            unmerged += 1
+                            spelling = terms[indices.index(f.index)][1]
+                            kept = parsing.ONE if spelling is None else parsing._EXPONENTS[spelling]
+                            assert f.exponent is kept, (table, text)
+            assert merged > len(cases) // 2 and unmerged > 500
+            assert len(parsing._SUMS) > 100
 
     def test_scanner_reads_every_render(self, monkeypatch):
         # _Parser reads each new exponent spelling; only a whole text that
@@ -546,6 +552,7 @@ class TestExponentTable:
     @pytest.fixture(autouse=True)
     def empty_table(self, monkeypatch):
         monkeypatch.setattr(parsing, "_EXPONENTS", {})
+        monkeypatch.setattr(parsing, "_SUMS", {})
 
     def test_entry_cap(self):
         cap = parsing._EXPONENTS_MAX
@@ -652,6 +659,76 @@ class TestExponentTable:
         for back in (pickle.loads(TWO_FIELD_PICKLE), pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert back._ints == e._ints
             assert signature(normalize([(3, back)])) == sig
+
+
+class TestSumTable:
+    """The scanner's sums by their operands' integers: bounded, and invisible in results."""
+
+    @pytest.fixture(autouse=True)
+    def empty_tables(self, monkeypatch):
+        monkeypatch.setattr(parsing, "_EXPONENTS", {})
+        monkeypatch.setattr(parsing, "_SUMS", {})
+
+    def test_entry_cap(self):
+        cap = parsing._EXPONENTS_MAX
+        for k in range(1, 2 * cap):
+            assert parse_product(f"a3^({k}/7)*a3") == normalize([(3, Fraction(k, 7) + 1)])
+            assert len(parsing._SUMS) == min(k, cap)
+
+    def test_long_operand_stays_out(self):
+        digits = "7" * 4000
+        with _int_digit_limit(4300):
+            for text in (f"a3^({digits})*a3^(1/2)*a3*a4^(1/2)*a4", f"a4^(1/2)*a3^(1/2)*a3^({digits})*a3*a4"):
+                p, q = parse_product(text), parse_product(text)
+                assert p == normalize([(3, int(digits) + Fraction(3, 2)), (4, Fraction(3, 2))])
+                assert p.factors[0].exponent is not q.factors[0].exponent  # merged afresh
+                assert p.factors[1].exponent is q.factors[1].exponent
+                assert list(parsing._SUMS) == [((1, 2, 0, 1), (1, 1, 0, 1))]
+
+    def test_operand_bound(self):
+        # a sum is kept when each of its operands' integers has at most
+        # _SPELLING_MAX digits, whatever the length of their spellings
+        big = parsing._OPERAND_MAX
+        assert big == 10**parsing._SPELLING_MAX
+        assert parse_product(f"a3^{big - 1}*a3*a4^{big}*a4") == normalize([(3, big), (4, big + 1)])
+        assert list(parsing._SUMS) == [((big - 1, 1, 0, 1), (1, 1, 0, 1))]
+        del parsing._SUMS[((big - 1, 1, 0, 1), (1, 1, 0, 1))]
+        # the first sum's operands are small, its denominator is not
+        p, q = 10**20 + 1, 10**20 + 3
+        assert parse_product(f"a3^(1/{p})*a3^(-1/{q})*a3") == normalize(
+            [(3, Fraction(1, p) - Fraction(1, q) + 1)]
+        )
+        assert list(parsing._SUMS) == [((1, p, 0, 1), (-1, q, 0, 1))]
+
+    def test_equal_merges_share_one_object(self):
+        p = parse_product("a3^(1/2)*a3^(1/3)")
+        ident = parse_identity("a5 * a2^( 1 / 2 ) * a2^(2/6) = a1^(3/6)*a1^(1/3)*a4")
+        e = p.factors[0].exponent
+        assert e == ExactExponent(Fraction(5, 6))
+        assert ident.lhs.factors[0].exponent is e and ident.rhs.factors[0].exponent is e
+        # a sum of sums is shared too
+        assert parse_product("a3^(pi)*a3*a3").factors[0].exponent is parse_product(
+            "a7^(pi)*a7*a7"
+        ).factors[0].exponent
+        assert len(parsing._SUMS) == 3
+
+    def test_render_equals_render_of_own_exponents(self):
+        rng = random.Random(1117)
+        texts = [
+            "*".join(_term_text(rng, *term) for term in _merging_terms(rng)) for _ in range(600)
+        ]
+        texts += ["a3^-" + "9" * 31 + "*a3^(" + "9" * 30 + ")*a3^(pi)"]
+        for table, limit in (("cold", 4300), ("warm", 4300), ("warm", 640)):
+            shared = 0
+            with _int_digit_limit(limit):
+                for text in texts:
+                    p = parse_product(text)
+                    own = _with_own_exponents(p)
+                    kept = {id(e) for e in parsing._SUMS.values()}
+                    shared += any(id(f.exponent) in kept for f in p.factors)
+                    for style in ("text", "latex"):
+                        assert render(p, style) == render(own, style) == _rendered(p, style), (table, text)
+            assert shared > 100, table
 
 
 # Each text has at least 2*10^5 characters; a scanner that backtracks
